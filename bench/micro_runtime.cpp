@@ -20,6 +20,7 @@
 #include "graph/csr_graph.h"
 #include "graph/generators.h"
 #include "runtime/conflict.h"
+#include "runtime/task_store.h"
 #include "runtime/worklist.h"
 #include "support/barrier.h"
 #include "support/failpoint.h"
@@ -62,7 +63,8 @@ BENCHMARK(BM_MarkMax);
  * acquire, losers flagged as they are displaced. Batched: the batched
  * protocol — acquires append to a collection lane, one serial id-order
  * fold resolves every conflict with plain stores (runtime/conflict.h),
- * winners released with plain stores. Same interference graph, same
+ * then each task releases the marks the fold installed for it
+ * (releaseHeldMarks: a load and a plain store per held mark). Same interference graph, same
  * final flags; the difference is pure protocol cost.
  */
 constexpr int kMarkTasks = 256;
@@ -107,17 +109,32 @@ BM_MarkAcquireSingle(benchmark::State& state)
 }
 BENCHMARK(BM_MarkAcquireSingle);
 
+/** Task records with fixed kMarkLocs-entry spans, for the batched
+ *  protocol's fold and release. */
+struct MarkBenchStore
+{
+    std::vector<runtime::DetRecordBase>& recs;
+    runtime::DetRecordBase* record(std::uint32_t slot) { return &recs[slot]; }
+    runtime::AcquireSpan
+    span(std::uint32_t slot) const
+    {
+        return {slot * kMarkLocs, kMarkLocs};
+    }
+};
+
 void
 BM_MarkAcquireBatched(benchmark::State& state)
 {
     std::vector<runtime::Lockable> locks(kMarkTable);
     std::vector<runtime::DetRecordBase> recs(kMarkTasks);
-    for (int t = 0; t < kMarkTasks; ++t)
+    std::vector<std::uint32_t> slots(kMarkTasks);
+    for (int t = 0; t < kMarkTasks; ++t) {
         recs[t].id = static_cast<std::uint64_t>(t) + 1;
+        slots[t] = static_cast<std::uint32_t>(t);
+    }
+    MarkBenchStore store{recs};
     std::vector<runtime::Lockable*> lane;
     lane.reserve(kMarkTasks * kMarkLocs);
-    std::vector<runtime::Lockable*> winners;
-    winners.reserve(kMarkTable);
     for (auto _ : state) {
         // Inspect: collect (what UserContext::acquire does per acquire).
         lane.clear();
@@ -125,14 +142,11 @@ BM_MarkAcquireBatched(benchmark::State& state)
             for (int j = 0; j < kMarkLocs; ++j)
                 lane.push_back(&markBenchLock(locks, t, j));
         // Fold: claim in id order with plain stores.
-        winners.clear();
-        std::size_t k = 0;
+        runtime::foldSliceClaims(store, slots, 0, slots.size(), lane.data());
+        // Select: owner release, reset flags for the next round.
         for (int t = 0; t < kMarkTasks; ++t)
-            for (int j = 0; j < kMarkLocs; ++j)
-                runtime::claimMarkFold(*lane[k++], &recs[t], winners);
-        // Merge: release winners, reset flags for the next round.
-        for (runtime::Lockable* l : winners)
-            l->forceRelease();
+            runtime::releaseHeldMarks(&recs[t], lane.data() + t * kMarkLocs,
+                                      kMarkLocs);
         for (runtime::DetRecordBase& r : recs)
             r.notSelected.store(false, std::memory_order_relaxed);
     }

@@ -24,6 +24,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "apps/dmr.h"
@@ -210,8 +211,13 @@ ndRefine(Sched& sched, apps::dmr::Problem& prob, unsigned threads)
         support::ThreadPool::get().maxThreads());
 
     std::vector<geom::TriId> initial = apps::dmr::badTriangles(prob);
-    std::vector<geom::TriId> queue = initial; // guarded by sync
-    std::size_t head = 0;                     // guarded by sync
+    // The queue is guarded by queueLock, taken inside the sync of each
+    // queue operation: CoreDet's sync serializes, but RawScheduler::sync
+    // runs its body unsynchronized, and concurrent push_backs would race
+    // on reallocation. One sync per operation keeps Fig. 6's profile.
+    std::vector<geom::TriId> queue = initial;
+    std::size_t head = 0;
+    std::mutex queueLock;
     std::atomic<std::uint64_t> pending{initial.size()};
     std::atomic<std::uint64_t> refined{0};
     (void)threads;
@@ -236,6 +242,7 @@ ndRefine(Sched& sched, apps::dmr::Problem& prob, unsigned threads)
         for (;;) {
             geom::TriId task = geom::kNoTri;
             const bool got = sched.sync([&] {
+                const std::lock_guard<std::mutex> guard(queueLock);
                 if (head < queue.size()) {
                     task = queue[head++];
                     return true;
@@ -290,6 +297,7 @@ ndRefine(Sched& sched, apps::dmr::Problem& prob, unsigned threads)
                 }
                 std::uint64_t new_tasks = 0;
                 sched.sync([&] {
+                    const std::lock_guard<std::mutex> guard(queueLock);
                     for (geom::TriId t : created) {
                         if (mesh.minAngle(t) < prob.minAngleDeg) {
                             queue.push_back(t);
@@ -313,7 +321,10 @@ ndRefine(Sched& sched, apps::dmr::Problem& prob, unsigned threads)
                 // tid-asymmetric and escalating: under deterministic
                 // scheduling two conflicting workers would otherwise
                 // retry in lockstep forever.
-                sched.sync([&] { queue.push_back(task); });
+                sched.sync([&] {
+                    const std::lock_guard<std::mutex> guard(queueLock);
+                    queue.push_back(task);
+                });
                 ++retries;
                 sched.backoffRounds((1u + tid)
                                     << std::min(retries, 10u));

@@ -19,7 +19,10 @@
  *      read-modify-writes,
  *   4. commits exactly the unflagged tasks — those with no smaller-id
  *      conflictor in the window, i.e. the greedy id-order independent
- *      set — and defers the rest (selectAndExec).
+ *      set — and defers the rest (selectAndExec); every thread clears
+ *      the marks its own slice's records hold as it goes, in parallel
+ *      (each mark has exactly one owner record after the fold, so each
+ *      mark word has exactly one releasing thread).
  *
  * This file is deliberately thin: it is the *policy* composition of five
  * standalone, unit-tested mechanisms —
@@ -333,8 +336,8 @@ class DetExecutor
             // A task or bookkeeping phase failed. The failing round ran
             // to completion (so the committed set and the error are
             // deterministic — see spmd()), and every round — including
-            // the failing one — released all of its marks at the start
-            // of its merge step, so the user's data structures are
+            // the failing one — released all of its marks in its select
+            // phase, so the user's data structures are
             // already clean. Deliver the winning exception: the one
             // recorded for the smallest task id, which is the same on
             // every thread count.
@@ -489,7 +492,6 @@ class DetExecutor
         while (cur_.size() < eff_window && queuePos_ < store_.size())
             cur_.push_back(static_cast<std::uint32_t>(queuePos_++));
 
-        roundPoisoned_ = false;
         for (PhaseOut& o : outs_) {
             o.selected.clear();
             o.deferred.clear();
@@ -512,34 +514,16 @@ class DetExecutor
      * tasks fold too: the entries they collected before throwing are a
      * deterministic prefix of their neighborhood and must interfere
      * exactly like the eager protocol's marks-written-before-the-throw.
-     *
-     * Fault containment: ~everything here is loads and plain stores;
-     * the one allocation (growing winners_) can throw. A partial fold
-     * would be a nondeterministic interference graph, so on any throw
-     * the round is *poisoned*: the select phase defers every task and
-     * commits nothing (deterministic — this round contributes zero
-     * commits and an error that ends the run), and every mark installed
-     * before the throw is on winners_ (pushed before the store), so the
-     * merge step's release sweep still leaves the marks clean.
+     * Loads and plain stores only: the fold cannot fail part-way, and
+     * the marks it installs are released by their owners' threads in
+     * select (releaseMarks).
      */
     void
     foldRound()
     {
-        try {
-            for (unsigned t = 0; t < engine_.threads(); ++t) {
-                auto [begin, end] = engine_.slice(cur_.size(), t);
-                const std::vector<Lockable*>& lane = lanes_[t];
-                for (std::size_t i = begin; i < end; ++i) {
-                    const std::uint32_t slot = cur_[i];
-                    DetRecordBase* me = store_.record(slot);
-                    const AcquireSpan s = store_.span(slot);
-                    for (std::uint32_t k = 0; k < s.len; ++k)
-                        claimMarkFold(*lane[s.off + k], me, winners_);
-                }
-            }
-        } catch (...) {
-            recordError(kBookkeepingErrorId);
-            roundPoisoned_ = true;
+        for (unsigned t = 0; t < engine_.threads(); ++t) {
+            auto [begin, end] = engine_.slice(cur_.size(), t);
+            foldSliceClaims(store_, cur_, begin, end, lanes_[t].data());
         }
     }
 
@@ -547,18 +531,13 @@ class DetExecutor
      * Deterministic merge + adaptive window update + progress watchdog.
      * Runs even when an error was recorded this round: the round
      * completed in full (see spmd), so merging keeps the bookkeeping
-     * consistent and the roundHook trace deterministic. The release of
-     * this round's marks comes FIRST — before anything that can throw
-     * (failpoint, allocation, watchdog) — so every exit path of a
-     * round, normal or failing, leaves all marks clean.
+     * consistent and the roundHook trace deterministic. The round's
+     * marks were already released in select, so a throw here
+     * (failpoint, allocation, watchdog) leaves them clean.
      */
     void
     mergeRound()
     {
-        for (Lockable* l : winners_)
-            l->forceRelease();
-        winners_.clear();
-
         FAILPOINT("det.merge", report_.rounds);
         // Thread t owned a contiguous, id-ordered slice of cur, so
         // concatenating per-thread failure lists in thread order
@@ -697,6 +676,12 @@ class DetExecutor
      * reading contested data, so skipping it is behavior-identical and
      * is what removes the redundant re-acquisition work.
      *
+     * The thread releases every mark its slice's records hold
+     * (releaseMarks): a committed task's right after its commit — not
+     * before, since a Mode::DetCheck task re-reads its own marks — and a
+     * deferred task's just before clearForRetry wipes its span. Either
+     * way the record is still in cache from the step before.
+     *
      * The thread's round arena — holding every continuation object its
      * slice saved during inspect — is rewound at the end: destroyLocal
      * runs on both the commit and the defer path, and inspect/select
@@ -708,16 +693,7 @@ class DetExecutor
     {
         auto [begin, end] = engine_.slice(cur_.size(), tid);
         PhaseOut& out = outs_[tid];
-        if (roundPoisoned_) {
-            // The fold threw: selection would be nondeterministic, so
-            // the round commits nothing — every task defers, the error
-            // already recorded against id 0 ends the run after merge.
-            for (std::size_t i = begin; i < end; ++i)
-                out.deferred.push_back(cur_[i]);
-        } else {
-            compactSelect(store_, cur_, begin, end, out.selected,
-                          out.deferred);
-        }
+        compactSelect(store_, cur_, begin, end, out.selected, out.deferred);
 
         for (const std::uint32_t slot : out.selected) {
             bool ok;
@@ -737,7 +713,8 @@ class DetExecutor
                     // Baseline ablation: re-execute from the beginning;
                     // acquires verify that every mark still carries our
                     // id (they do — a selected task won all of its
-                    // locations and marks release only at merge).
+                    // locations, and only this thread releases them,
+                    // after this commit).
                     ctx.beginTask(UserContext<T>::Mode::DetCheck,
                                   store_.record(slot), nullptr,
                                   &store_.local(slot),
@@ -765,6 +742,7 @@ class DetExecutor
                 ok = false;
             }
             if (ok) {
+                releaseMarks(tid, slot);
                 store_.destroyLocal(slot);
             } else {
                 out.lateFailed.push_back(slot);
@@ -782,6 +760,7 @@ class DetExecutor
                    out.lateFailed.begin(), out.lateFailed.end(),
                    out.failed.begin());
         for (const std::uint32_t slot : out.failed) {
+            releaseMarks(tid, slot);
             store_.clearForRetry(slot);
             store_.destroyLocal(slot);
             ++ctx.stats().aborted;
@@ -792,6 +771,15 @@ class DetExecutor
         // same arena) and rewind the arena for the next round.
         ctx.endTaskScope();
         scratchArenas_[tid].reset();
+    }
+
+    /** Clear the marks slot's record holds (thread tid's slice). */
+    void
+    releaseMarks(unsigned tid, std::uint32_t slot)
+    {
+        const AcquireSpan s = store_.span(slot);
+        releaseHeldMarks(store_.record(slot), lanes_[tid].data() + s.off,
+                         s.len);
     }
 
     /** Move tasks pushed by a committed task into the next generation. */
@@ -837,8 +825,6 @@ class DetExecutor
     std::size_t carryPos_ = 0;
     std::size_t queuePos_ = 0; //!< next untried slot of the generation
     std::vector<std::vector<Lockable*>> lanes_; //!< per-thread acquire lanes
-    std::vector<Lockable*> winners_; //!< marks held, released at merge
-    bool roundPoisoned_ = false; //!< fold threw: select defers everything
     std::vector<PhaseOut> outs_;
 
     std::atomic<bool> failed_{false};

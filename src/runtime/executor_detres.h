@@ -21,7 +21,9 @@
  *      flagged (the same batched-mark fold the DIG executor uses),
  *   4. commit: execute exactly the unflagged tasks — those holding all
  *      of their reservations — and retry the rest in a later round, in
- *      id order.
+ *      id order; each thread releases the reservations its own slice's
+ *      records hold as it goes (the same owner-thread release as the DIG
+ *      executor).
  *
  * This file deliberately composes the same five unit-tested mechanisms
  * as executor_det.h — RoundEngine (SPMD harness), TaskStore (SoA task
@@ -295,7 +297,6 @@ class DetResExecutor
         while (cur_.size() < eff_prefix && queuePos_ < store_.size())
             cur_.push_back(static_cast<std::uint32_t>(queuePos_++));
 
-        roundPoisoned_ = false;
         for (PhaseOut& o : outs_) {
             o.selected.clear();
             o.deferred.clear();
@@ -315,42 +316,26 @@ class DetResExecutor
      * This *is* the reservation resolution: where the app-level PBBS
      * engine resolves races with an order-insensitive mark-max CAS, the
      * runtime backend gets the identical winner set from the batched
-     * serial fold at zero atomic read-modify-writes. Poisoning on a
-     * throw works exactly as in the DIG executor.
+     * serial fold at zero atomic read-modify-writes. Loads and plain
+     * stores only, so the fold cannot fail part-way.
      */
     void
     resolveRound()
     {
-        try {
-            for (unsigned t = 0; t < engine_.threads(); ++t) {
-                auto [begin, end] = engine_.slice(cur_.size(), t);
-                const std::vector<Lockable*>& lane = lanes_[t];
-                for (std::size_t i = begin; i < end; ++i) {
-                    const std::uint32_t slot = cur_[i];
-                    DetRecordBase* me = store_.record(slot);
-                    const AcquireSpan s = store_.span(slot);
-                    for (std::uint32_t k = 0; k < s.len; ++k)
-                        claimMarkFold(*lane[s.off + k], me, winners_);
-                }
-            }
-        } catch (...) {
-            recordError(kBookkeepingErrorId);
-            roundPoisoned_ = true;
+        for (unsigned t = 0; t < engine_.threads(); ++t) {
+            auto [begin, end] = engine_.slice(cur_.size(), t);
+            foldSliceClaims(store_, cur_, begin, end, lanes_[t].data());
         }
     }
 
     /**
      * Deterministic merge + prefix-schedule update + progress watchdog.
-     * Marks release FIRST, before anything that can throw, so every
+     * The round's marks were already released in commitSlice, so every
      * exit path of a round leaves the user's locations clean.
      */
     void
     mergeRound()
     {
-        for (Lockable* l : winners_)
-            l->forceRelease();
-        winners_.clear();
-
         FAILPOINT("detres.merge", report_.rounds);
         std::vector<std::uint32_t> new_carry;
         std::uint64_t committed = 0;
@@ -457,19 +442,16 @@ class DetResExecutor
      * Commit phase: the reservation check is the compactSelect over the
      * loser flags (an unflagged task held every location it reserved);
      * only checked tasks execute, the rest retry in a later round.
+     * The thread releases the marks its records hold (releaseMarks) as
+     * in the DIG executor: after a task's commit, or before its retry
+     * reset wipes its span.
      */
     void
     commitSlice(unsigned tid, UserContext<T>& ctx)
     {
         auto [begin, end] = engine_.slice(cur_.size(), tid);
         PhaseOut& out = outs_[tid];
-        if (roundPoisoned_) {
-            for (std::size_t i = begin; i < end; ++i)
-                out.deferred.push_back(cur_[i]);
-        } else {
-            compactSelect(store_, cur_, begin, end, out.selected,
-                          out.deferred);
-        }
+        compactSelect(store_, cur_, begin, end, out.selected, out.deferred);
 
         for (const std::uint32_t slot : out.selected) {
             bool ok;
@@ -507,6 +489,7 @@ class DetResExecutor
                 ok = false;
             }
             if (ok) {
+                releaseMarks(tid, slot);
                 store_.destroyLocal(slot);
             } else {
                 out.lateFailed.push_back(slot);
@@ -521,6 +504,7 @@ class DetResExecutor
                    out.lateFailed.begin(), out.lateFailed.end(),
                    out.failed.begin());
         for (const std::uint32_t slot : out.failed) {
+            releaseMarks(tid, slot);
             store_.clearForRetry(slot);
             store_.destroyLocal(slot);
             ++ctx.stats().aborted;
@@ -528,6 +512,15 @@ class DetResExecutor
 
         ctx.endTaskScope();
         scratchArenas_[tid].reset();
+    }
+
+    /** Clear the marks slot's record holds (thread tid's slice). */
+    void
+    releaseMarks(unsigned tid, std::uint32_t slot)
+    {
+        const AcquireSpan s = store_.span(slot);
+        releaseHeldMarks(store_.record(slot), lanes_[tid].data() + s.off,
+                         s.len);
     }
 
     /** Move tasks pushed by a committed task into the next generation. */
@@ -570,8 +563,6 @@ class DetResExecutor
     std::size_t carryPos_ = 0;
     std::size_t queuePos_ = 0;
     std::vector<std::vector<Lockable*>> lanes_;
-    std::vector<Lockable*> winners_;
-    bool roundPoisoned_ = false;
     std::vector<PhaseOut> outs_;
 
     std::atomic<bool> failed_{false};

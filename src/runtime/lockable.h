@@ -22,7 +22,9 @@
  *    serial id-order execution regardless of how rounds partition the
  *    work (see executor_det.h) — the same priority direction PBBS
  *    reservations encode by handing earlier items larger priorities
- *    over markMax (src/pbbs/reservations.h).
+ *    over markMax (src/pbbs/reservations.h). During the select phase
+ *    each thread clears the marks its own slice's records hold
+ *    (releaseIfHeldBy), so the next round starts from empty marks.
  *
  * We store a pointer to an owner descriptor instead of a raw integer id so
  * that the deterministic executor can navigate from a mark to the losing
@@ -69,7 +71,21 @@ struct DetRecordBase : MarkOwner
 {
     /** Set when some other task stole one of our neighborhood marks. */
     std::atomic<bool> notSelected{false};
+    /**
+     * Batched protocol, flagged records only: bit k is set when the
+     * serial fold installed this record as the owner of entry k of its
+     * acquire span (k < 32). The owning thread's select-phase release
+     * visits those entries (and any past the mask) and clears the mask
+     * (runtime/conflict.h). Written only by the fold and by the owning
+     * thread, which the round's barriers order.
+     */
+    std::uint32_t heldClaims = 0;
 };
+
+// heldClaims lives in what was the record's padding: the task store's
+// hot lane stays 16 bytes per task (runtime/task_store.h).
+static_assert(sizeof(DetRecordBase) == 16,
+              "DetRecordBase must stay 16 bytes");
 
 /**
  * Per-abstract-location synchronization word.
@@ -210,6 +226,36 @@ class Lockable
                                       std::memory_order_acq_rel);
     }
 
+    /**
+     * Owner release without a read-modify-write: a relaxed load, then a
+     * relaxed store of nullptr when the mark is held by o.
+     *
+     * Only legal when o's thread is the sole writer of every mark o can
+     * hold — the batched DIG protocol's select phase, where the serial
+     * fold left each contested location with exactly one owner record
+     * and that record lives in exactly one thread's slice. The owner
+     * check is load-bearing: a loser clearing a location unconditionally
+     * could empty a winner's mark before the winner's Mode::DetCheck
+     * re-check reads it, making that check depend on timing.
+     */
+    void
+    releaseIfHeldBy(const MarkOwner* o)
+    {
+        if (DETMC_BUG("lockable.release-unowned")) {
+            // Seeded protocol bug (model-checker builds only): the owner
+            // check is dropped, so a loser's release races the winner's
+            // select-phase check; detmc model mark-release finds it.
+            DETMC_WRITE(&mark_, "lockable.mark.release-held");
+            mark_.store(nullptr, std::memory_order_relaxed);
+            return;
+        }
+        DETMC_READ(&mark_, "lockable.mark.read");
+        if (mark_.load(std::memory_order_relaxed) != o)
+            return;
+        DETMC_WRITE(&mark_, "lockable.mark.release-held");
+        mark_.store(nullptr, std::memory_order_relaxed);
+    }
+
     /** Unconditional reset to unowned (single-threaded contexts only). */
     void
     forceRelease()
@@ -225,7 +271,9 @@ class Lockable
      * serial fold runs inside a barrier completion section, so exactly
      * one thread writes marks and no thread reads them concurrently —
      * publication to the other threads rides the barrier's sense-word
-     * release. Never call this from a parallel phase.
+     * release (as does publication of the select phase's
+     * releaseIfHeldBy stores back to the next fold). Never call this
+     * from a parallel phase.
      */
     void
     forceOwner(MarkOwner* o)

@@ -189,9 +189,9 @@ class RoundEngine
      * A serial step that throws calls on_error() from inside the catch
      * block (std::current_exception() is live) and the loop stops at
      * the next round boundary via assemble() returning false — no
-     * thread is ever stranded at a barrier. (mid() is expected to
-     * contain its own faults — a partial fold must be resolved by the
-     * executor's poisoning protocol, not by skipping the round — but is
+     * thread is ever stranded at a barrier. (mid() must not throw — the
+     * executors' mark fold is loads and plain stores, because a partial
+     * fold would be a nondeterministic interference graph — but is
      * wrapped here as a last line of defense.) Wall time is accounted
      * per phase into the profile returned by finish(): parallel phases
      * span completion-to-completion (fused) or barrier-to-barrier

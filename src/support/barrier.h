@@ -2,8 +2,11 @@
  * @file
  * Sense-reversing centralized barrier.
  *
- * The deterministic DIG scheduler is bulk-synchronous: every round contains
- * three barriers (window selection, inspect, select-and-execute). The
+ * The deterministic DIG scheduler is bulk-synchronous: under the default
+ * fused protocol (runtime/round_engine.h) every round has two rendezvous —
+ * one closing inspect, whose completion section runs the mark fold, and
+ * one closing select-and-execute, whose completion section runs merge and
+ * assembles the next window; the unfused A/B placement has five. The
  * barrier therefore sits directly on the critical path of deterministic
  * execution and is implemented as a spin-then-yield sense-reversing
  * barrier: cheap when threads arrive together (the common case for

@@ -49,6 +49,23 @@ TEST(Lockable, TryAcquireSemantics)
     EXPECT_EQ(l.owner(), nullptr);
 }
 
+TEST(Lockable, ReleaseIfHeldByClearsOnlyForTheHolder)
+{
+    Lockable l;
+    DetRecordBase a, b;
+    a.id = 1;
+    b.id = 2;
+    l.releaseIfHeldBy(&a); // free: stays free
+    EXPECT_EQ(l.owner(), nullptr);
+    l.forceOwner(&a);
+    l.releaseIfHeldBy(&b); // not the holder: no-op
+    EXPECT_EQ(l.owner(), &a);
+    l.releaseIfHeldBy(&a);
+    EXPECT_EQ(l.owner(), nullptr);
+    l.releaseIfHeldBy(&a); // repeat (duplicate lane entry): no-op
+    EXPECT_EQ(l.owner(), nullptr);
+}
+
 TEST(Lockable, MarkMaxKeepsLargestId)
 {
     // markMax: the PBBS reservation engine's primitive (priorities are
@@ -205,33 +222,39 @@ TEST(Context, CollectInspectAppendsToLaneWithoutMarking)
 TEST(Context, FoldClaimsInIdOrderAndFlagsLosers)
 {
     // The serial fold primitive (runtime/conflict.h): replaying two
-    // tasks' collected sets in ascending id order must leave the marks,
-    // flags and winner list exactly as the eager protocol would.
+    // tasks' collected sets in ascending id order must leave the marks
+    // and flags exactly as the eager protocol would. The fold keeps no
+    // release list: each owner's thread clears its marks afterwards.
     DetRecordBase lo, hi;
     lo.id = 1;
     hi.id = 2;
     Lockable l1, l2, l3;
-    std::vector<Lockable*> winners;
 
     // lo collected {l1, l2, l1 (dup)}; hi collected {l1, l3}. Folded in
     // ascending id order, the earlier task keeps every contested
     // location and the later claimant flags itself.
-    claimMarkFold(l1, &lo, winners);
-    claimMarkFold(l2, &lo, winners);
-    claimMarkFold(l1, &lo, winners); // duplicate: no-op
-    claimMarkFold(l1, &hi, winners); // lo already owns l1: flags hi
-    claimMarkFold(l3, &hi, winners);
+    EXPECT_EQ(claimMarkFold(l1, &lo), Claim::Installed);
+    EXPECT_EQ(claimMarkFold(l2, &lo), Claim::Installed);
+    EXPECT_EQ(claimMarkFold(l1, &lo), Claim::Duplicate);
+    EXPECT_EQ(claimMarkFold(l1, &hi), Claim::Lost); // flags hi
+    EXPECT_EQ(claimMarkFold(l3, &hi), Claim::Installed);
 
     EXPECT_EQ(l1.owner(), &lo);
     EXPECT_EQ(l2.owner(), &lo);
     EXPECT_EQ(l3.owner(), &hi);
     EXPECT_TRUE(hi.notSelected.load());
     EXPECT_FALSE(lo.notSelected.load());
-    // Each location entered winners exactly once, at first claim.
-    ASSERT_EQ(winners.size(), 3u);
-    EXPECT_EQ(winners[0], &l1);
-    EXPECT_EQ(winners[1], &l2);
-    EXPECT_EQ(winners[2], &l3);
+
+    // Owner release over each task's collected set: the loser's walk
+    // clears only what it holds, never the winner's l1.
+    for (Lockable* l : {&l1, &l3})
+        l->releaseIfHeldBy(&hi);
+    EXPECT_EQ(l1.owner(), &lo);
+    EXPECT_EQ(l3.owner(), nullptr);
+    for (Lockable* l : {&l1, &l2, &l1})
+        l->releaseIfHeldBy(&lo);
+    EXPECT_EQ(l1.owner(), nullptr);
+    EXPECT_EQ(l2.owner(), nullptr);
 }
 
 TEST(Context, DetCommitAcquireIsNoOp)

@@ -4,7 +4,7 @@
  * concurrency kernel's protocols (see DESIGN.md §15 and
  * src/analysis/detmc.h).
  *
- * Four drivers, shared between the gtest suite (detmc_test.cpp) and
+ * Five drivers, shared between the gtest suite (detmc_test.cpp) and
  * the CLI (detmc_models_main.cpp):
  *
  *   round-fused     the real RoundEngine::roundLoop() under Fused
@@ -20,6 +20,13 @@
  *                   vthreads — the §14 min-id-wins theorem: both
  *                   protocols give every contested location to the
  *                   smallest claiming id and flag the same losers
+ *   mark-release    the executors' serial fold (foldSliceClaims) in a
+ *                   barrier completion section, then on 3 vthreads a
+ *                   Mode::DetCheck re-check by every selected record
+ *                   followed by each thread's owner release
+ *                   (releaseHeldMarks) — the §13 mark lifecycle: no
+ *                   selected record ever sees a foreign or null mark,
+ *                   and every mark ends clean
  *   worklist        ChunkedWorklist handoff + TerminationDetector on 2
  *                   vthreads — no lost work, no lost wakeup: every
  *                   item is processed exactly once and both threads
@@ -29,7 +36,7 @@
  * virtual thread): the value is exhaustiveness, and exhaustiveness
  * dies exponentially in model size. Seeded protocol bugs
  * ("barrier.early-sense", "lockable.markmin-tear",
- * "termination.weak-retire") are armed via Options::seedBug and turn
+ * "lockable.release-unowned", "termination.weak-retire") are armed via Options::seedBug and turn
  * each certification into a detection test.
  */
 
@@ -45,8 +52,10 @@
 
 #include "analysis/detmc.h"
 #include "runtime/conflict.h"
+#include "runtime/context.h"
 #include "runtime/lockable.h"
 #include "runtime/round_engine.h"
+#include "runtime/task_store.h"
 #include "runtime/worklist.h"
 #include "support/termination.h"
 
@@ -316,7 +325,6 @@ struct MarkState
     /** Per-thread collection lanes (batched-protocol inspect). */
     std::array<std::vector<unsigned>, kThreads> claims;
     std::unique_ptr<galois::support::Barrier> bar;
-    std::vector<galois::runtime::Lockable*> winners;
 };
 
 inline detmc::ModelSpec
@@ -338,7 +346,6 @@ markModel()
             l.forceRelease();
         for (auto& l : st->foldLoc)
             l.forceRelease();
-        st->winners.clear();
         st->bar = std::make_unique<galois::support::Barrier>(
             MarkState::kThreads);
     };
@@ -367,8 +374,8 @@ markModel()
         st->bar->wait([st] {
             for (unsigned t = 0; t < MarkState::kThreads; ++t)
                 for (unsigned li : st->claims[t])
-                    galois::runtime::claimMarkFold(
-                        st->foldLoc[li], &st->folded[t], st->winners);
+                    galois::runtime::claimMarkFold(st->foldLoc[li],
+                                                   &st->folded[t]);
         });
     };
     spec.check = [st] {
@@ -399,7 +406,139 @@ markModel()
 }
 
 // ---------------------------------------------------------------------
-// Driver (c): worklist handoff + termination detection.
+// Driver (c): the mark lifecycle — serial fold, parallel owner release.
+// ---------------------------------------------------------------------
+
+/**
+ * Three records (ids 1..3), one per vthread, over three locations, run
+ * through the executors' own fold and release (foldSliceClaims,
+ * releaseHeldMarks) on a three-record store. Task 1 claims {L0, L0},
+ * task 2 claims {L1}, task 3 claims L2 thirty-two times and then
+ * {L0, L1}: the fold — in a barrier completion section, exactly where
+ * the executors run it — gives L0 to 1, L1 to 2 and L2 to 3 and flags
+ * task 3, so tasks 1 and 2 are selected while the loser holds L2. The
+ * duplicate claims push task 3's claims of the winners' locations past
+ * the heldClaims mask, where the release walks entries under the owner
+ * check alone. After the barrier each vthread, like an executor thread
+ * in select, re-checks its marks in Mode::DetCheck if selected (the
+ * real UserContext acquire), then releases its record's marks. check(): the
+ * selection is {1, 2}, no selected record saw a foreign or null mark,
+ * and every mark is null and every heldClaims mask clear at the end.
+ * Seeded tear "lockable.release-unowned" drops the owner check, so the
+ * loser can clear a winner's mark before the winner's check reads it.
+ */
+struct ReleaseState
+{
+    static constexpr unsigned kThreads = 3;
+    static constexpr unsigned kLocs = 3;
+
+    /** The record/span interface the fold and release are written to. */
+    struct Store
+    {
+        ReleaseState* st;
+        galois::runtime::DetRecordBase* record(std::uint32_t slot)
+        {
+            return &st->rec[slot];
+        }
+        galois::runtime::AcquireSpan span(std::uint32_t slot) const
+        {
+            return {0, static_cast<std::uint32_t>(st->lane[slot].size())};
+        }
+    };
+
+    std::array<galois::runtime::DetRecordBase, kThreads> rec;
+    std::array<galois::runtime::Lockable, kLocs> loc;
+    /** Per-vthread collection lane, holding its one task's claims. */
+    std::array<std::vector<galois::runtime::Lockable*>, kThreads> lane;
+    std::vector<std::uint32_t> slots{0, 1, 2};
+    std::unique_ptr<galois::support::Barrier> bar;
+    /** Per-vthread: a selected record's check lost a mark. */
+    std::array<bool, kThreads> checkFailed{};
+};
+
+inline detmc::ModelSpec
+releaseModel()
+{
+    auto st = std::make_shared<ReleaseState>();
+    detmc::ModelSpec spec;
+    spec.name = "mark-release";
+    spec.nthreads = ReleaseState::kThreads;
+    spec.setup = [st] {
+        for (unsigned t = 0; t < ReleaseState::kThreads; ++t) {
+            st->rec[t].id = t + 1;
+            st->rec[t].notSelected.store(false);
+            st->rec[t].heldClaims = 0;
+            st->checkFailed[t] = false;
+        }
+        for (auto& l : st->loc)
+            l.forceRelease();
+        auto* l = st->loc.data();
+        st->lane[0] = {&l[0], &l[0]};
+        st->lane[1] = {&l[1]};
+        st->lane[2].assign(galois::runtime::kHeldClaimBits, &l[2]);
+        st->lane[2].push_back(&l[0]);
+        st->lane[2].push_back(&l[1]);
+        st->bar = std::make_unique<galois::support::Barrier>(
+            ReleaseState::kThreads);
+    };
+    spec.body = [st](unsigned tid) {
+        using galois::runtime::UserContext;
+        ReleaseState::Store store{st.get()};
+        // Fold: the last thread into the barrier claims every collected
+        // location, slices in thread order (ascending ids).
+        st->bar->wait([st, &store] {
+            for (unsigned t = 0; t < ReleaseState::kThreads; ++t)
+                galois::runtime::foldSliceClaims(store, st->slots, t, t + 1,
+                                                 st->lane[t].data());
+        });
+        // Select: a selected record re-checks its marks.
+        galois::runtime::DetRecordBase& me = st->rec[tid];
+        if (!me.notSelected.load(std::memory_order_relaxed)) {
+            galois::runtime::ThreadStats stats;
+            UserContext<int> ctx;
+            ctx.bindStats(&stats);
+            ctx.beginTask(UserContext<int>::Mode::DetCheck, &me, nullptr);
+            try {
+                for (galois::runtime::Lockable* l : st->lane[tid])
+                    ctx.acquire(*l);
+            } catch (const galois::runtime::ConflictSignal&) {
+                st->checkFailed[tid] = true;
+            }
+        }
+        // Then the owner release of the thread's record.
+        galois::runtime::releaseHeldMarks(
+            &me, st->lane[tid].data(),
+            static_cast<std::uint32_t>(st->lane[tid].size()));
+    };
+    spec.check = [st] {
+        for (unsigned t = 0; t < ReleaseState::kThreads; ++t) {
+            const bool selected = !st->rec[t].notSelected.load();
+            const bool wantSelected = t + 1 != 3; // only id 3 loses
+            if (selected != wantSelected)
+                throw detmc::CheckFailure(
+                    "mark-release: fold selected the wrong set (id " +
+                    std::to_string(t + 1) + ")");
+            if (st->checkFailed[t])
+                throw detmc::CheckFailure(
+                    "mark-release: selected id " + std::to_string(t + 1) +
+                    " saw a foreign or null mark in its select check");
+            if (st->rec[t].heldClaims != 0)
+                throw detmc::CheckFailure(
+                    "mark-release: id " + std::to_string(t + 1) +
+                    " kept a heldClaims mask after its release");
+        }
+        for (unsigned li = 0; li < ReleaseState::kLocs; ++li)
+            if (const auto* o = st->loc[li].owner())
+                throw detmc::CheckFailure(
+                    "mark-release: location " + std::to_string(li) +
+                    " still held by id " + std::to_string(o->id) +
+                    " after every owner released");
+    };
+    return spec;
+}
+
+// ---------------------------------------------------------------------
+// Driver (d): worklist handoff + termination detection.
 // ---------------------------------------------------------------------
 
 /**
@@ -502,13 +641,14 @@ makeRoundUnfused()
     return roundModel(galois::runtime::PhaseFusion::Unfused);
 }
 
-inline const std::array<NamedModel, 4>&
+inline const std::array<NamedModel, 5>&
 allModels()
 {
-    static const std::array<NamedModel, 4> models = {{
+    static const std::array<NamedModel, 5> models = {{
         {"round-fused", &makeRoundFused, "barrier.early-sense"},
         {"round-unfused", &makeRoundUnfused, "barrier.early-sense"},
         {"mark-min", &markModel, "lockable.markmin-tear"},
+        {"mark-release", &releaseModel, "lockable.release-unowned"},
         {"worklist", &worklistModel, "termination.weak-retire"},
     }};
     return models;

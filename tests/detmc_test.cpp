@@ -4,17 +4,19 @@
  *
  * This target compiles the concurrency kernel's sources with
  * -DDETGALOIS_DETMC=1, so the primitives carry live schedule points,
- * and drives the four bounded models of tests/detmc_models.h:
+ * and drives the five bounded models of tests/detmc_models.h:
  *
  *  - certification: exhaustive exploration (bound NOT hit) of each
  *    model finds zero violations — §13 quiescence-equivalence, §14
- *    min-id-wins and the worklist/termination handoff become
+ *    min-id-wins, the fold/owner-release mark lifecycle and the
+ *    worklist/termination handoff become
  *    machine-checked facts rather than prose arguments;
- *  - coverage: the four explorations together visit >= 10k
+ *  - coverage: the five explorations together visit >= 10k
  *    interleavings (the checker is exercising a real space, not a
  *    degenerate one);
  *  - detection: each seeded protocol bug (barrier.early-sense,
- *    lockable.markmin-tear, termination.weak-retire) is found, and its
+ *    lockable.markmin-tear, lockable.release-unowned,
+ *    termination.weak-retire) is found, and its
  *    counterexample replays byte-identically — the same schedule
  *    yields the same trace, twice;
  *  - pruning soundness probe: disabling sleep sets explores at least
@@ -81,6 +83,14 @@ TEST(DetMc, MarkMinCertified)
     EXPECT_FALSE(r.stats.boundHit) << "exploration was not exhaustive";
 }
 
+TEST(DetMc, MarkReleaseCertified)
+{
+    const auto& r = certified("mark-release");
+    EXPECT_TRUE(r.ok()) << describeViolations(r);
+    EXPECT_FALSE(r.stats.boundHit) << "exploration was not exhaustive";
+    EXPECT_GT(r.stats.schedules, 1u);
+}
+
 TEST(DetMc, WorklistCertified)
 {
     const auto& r = certified("worklist");
@@ -98,7 +108,7 @@ TEST(DetMc, ExploresAtLeastTenThousandInterleavings)
         total += r.stats.schedules;
     }
     EXPECT_GE(total, 10000u)
-        << "the four models together must cover >= 10k interleavings";
+        << "the models together must cover >= 10k interleavings";
 }
 
 TEST(DetMc, SeededBugsAreDetected)

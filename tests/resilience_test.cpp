@@ -16,6 +16,9 @@
  * for workloads whose result does not depend on the serialization order
  * the faulted final state is identical across thread counts too.
  *
+ * Both deterministic backends (Exec::Det, Exec::DetRes) must also leave
+ * every mark free at every round boundary and after every faulted run.
+ *
  * Also covered here: the progress watchdog (livelock -> fail-fast
  * diagnostic), DetOptions validation, and the backoff stats plumbing.
  */
@@ -28,6 +31,7 @@
 #include <new>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "galois/galois.h"
@@ -309,6 +313,155 @@ TEST_P(DetFaultPortability, FaultedRunsAreReproducible)
 
 INSTANTIATE_TEST_SUITE_P(BaselineAndContinuation, DetFaultPortability,
                          ::testing::Bool());
+
+// ---------------------------------------------------------------------
+// Mark cleanliness of the deterministic backends
+// ---------------------------------------------------------------------
+
+/**
+ * Both batched-mark backends clear every mark at the end of each round's
+ * select phase, each thread releasing the marks its own slice's records
+ * hold. Probe that from the outside on the contended cell workload:
+ * every round boundary (the roundHook runs in the merge step, after
+ * select) and the end of every run — clean or faulted at the inspect,
+ * commit or merge site — must find all marks free, on 1/2/4/8 threads,
+ * with continuation on and off, and a faulted run must deliver the same
+ * error with the same task id (or round) on every thread count.
+ */
+class DetMarkCleanliness
+    : public ::testing::TestWithParam<std::tuple<Exec, bool>>
+{
+  protected:
+    void SetUp() override { failpoints::clearAll(); }
+    void TearDown() override { failpoints::clearAll(); }
+
+    struct Outcome
+    {
+        std::string error;
+        std::uint64_t key = 0; //!< FailpointError::key(): id or round
+        std::uint64_t stateHash = 0;
+        std::uint64_t rounds = 0;
+    };
+
+    Exec exec() const { return std::get<0>(GetParam()); }
+
+    /** The backend's failpoint for a phase: det.* or detres.*. */
+    std::string
+    site(const std::string& phase) const
+    {
+        if (exec() == Exec::Det)
+            return "det." + phase;
+        return "detres." + (phase == "inspect" ? "reserve" : phase);
+    }
+
+    Outcome
+    run(const std::string& fault_site, const FailPlan* plan,
+        unsigned threads)
+    {
+        failpoints::clearAll();
+        if (plan)
+            failpoints::set(fault_site, *plan);
+        CellWorkload w(64, 3000, 500);
+        Config cfg;
+        cfg.exec = exec();
+        cfg.threads = threads;
+        cfg.det.continuation = std::get<1>(GetParam());
+        // On 64 cells nearly every pair of tasks conflicts; a smaller
+        // prefix cap keeps DetRes from re-reserving ~3000 tasks a round.
+        cfg.detres.roundSize = 256;
+        Outcome out;
+        std::uint64_t dirty_rounds = 0;
+        cfg.det.roundHook = [&](std::uint64_t, std::uint64_t,
+                                std::uint64_t) {
+            ++out.rounds;
+            if (!w.allLocksFree())
+                ++dirty_rounds;
+        };
+        try {
+            galois::forEach(w.initialTasks(), w.op(), cfg);
+        } catch (const FailpointError& e) {
+            out.error = e.what();
+            out.key = e.key();
+        }
+        failpoints::clearAll();
+        EXPECT_EQ(dirty_rounds, 0u)
+            << fault_site << " @ " << threads
+            << ": marks still held at a round boundary";
+        EXPECT_TRUE(w.allLocksFree())
+            << fault_site << " @ " << threads << ": marks leaked";
+        out.stateHash = w.hash();
+        return out;
+    }
+
+    /** Faulted runs agree across 1/2/4/8 threads; returns the 1-thread
+     *  outcome. */
+    Outcome
+    assertFaultPortable(const std::string& phase, const FailPlan& plan)
+    {
+        const std::string s = site(phase);
+        const Outcome ref = run(s, &plan, 1);
+        EXPECT_FALSE(ref.error.empty()) << s << " plan did not fire";
+        for (unsigned threads : {2u, 4u, 8u}) {
+            const Outcome got = run(s, &plan, threads);
+            EXPECT_EQ(got.error, ref.error) << s << " @ " << threads;
+            EXPECT_EQ(got.key, ref.key) << s << " @ " << threads;
+            EXPECT_EQ(got.stateHash, ref.stateHash)
+                << s << " @ " << threads;
+            EXPECT_EQ(got.rounds, ref.rounds) << s << " @ " << threads;
+        }
+        return ref;
+    }
+};
+
+TEST_P(DetMarkCleanliness, CleanAtEveryRoundBoundary)
+{
+    const Outcome ref = run("", nullptr, 1);
+    EXPECT_TRUE(ref.error.empty());
+    EXPECT_GT(ref.rounds, 1u);
+    for (unsigned threads : {2u, 4u, 8u}) {
+        const Outcome got = run("", nullptr, threads);
+        EXPECT_EQ(got.stateHash, ref.stateHash) << threads << " threads";
+        EXPECT_EQ(got.rounds, ref.rounds) << threads << " threads";
+    }
+}
+
+// Task 1500 of 3000 is reached only after several rounds have
+// installed and released marks.
+TEST_P(DetMarkCleanliness, CleanAfterInspectFault)
+{
+    const Outcome ref =
+        assertFaultPortable("inspect", FailPlan::throwAt(1500));
+    EXPECT_EQ(ref.key, 1500u);
+    EXPECT_GT(ref.rounds, 1u);
+}
+
+TEST_P(DetMarkCleanliness, CleanAfterCommitFault)
+{
+    const Outcome ref =
+        assertFaultPortable("commit", FailPlan::throwAt(1500));
+    EXPECT_EQ(ref.key, 1500u);
+    EXPECT_GT(ref.rounds, 1u);
+}
+
+TEST_P(DetMarkCleanliness, CleanAfterMergeFault)
+{
+    // Keyed by the completed-round count: the failing round's hook never
+    // runs, so exactly five round boundaries are observed.
+    const Outcome ref = assertFaultPortable("merge", FailPlan::throwAt(5));
+    EXPECT_EQ(ref.key, 5u);
+    EXPECT_EQ(ref.rounds, 5u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DetAndDetRes, DetMarkCleanliness,
+    ::testing::Combine(::testing::Values(Exec::Det, Exec::DetRes),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<Exec, bool>>& info) {
+        return std::string(std::get<0>(info.param) == Exec::Det
+                               ? "Det"
+                               : "DetRes") +
+               (std::get<1>(info.param) ? "Continuation" : "Baseline");
+    });
 
 // ---------------------------------------------------------------------
 // Progress watchdog

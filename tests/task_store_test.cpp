@@ -6,16 +6,19 @@
  * failure injection at lane growth), payload/continuation lifetime, and
  * the prefix-sum selection compactSelect — whose per-thread results over
  * a blockRange partition must concatenate to exactly the single-threaded
- * result at every thread count.
+ * result at every thread count — and the owner-thread mark release
+ * (releaseHeldMarks), which must clear exactly its own slice's marks.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <new>
 #include <random>
 #include <vector>
 
+#include "runtime/conflict.h"
 #include "runtime/round_engine.h" // blockRange
 #include "runtime/task_store.h"
 #include "support/failpoint.h"
@@ -226,6 +229,86 @@ TEST(TaskStore, CompactSelectMatchesPerTaskPredicateAcrossPartitions)
                                     << threads;
             EXPECT_EQ(def, ref_def) << "round " << round << " threads "
                                     << threads;
+        }
+    }
+}
+
+TEST(TaskStore, OwnerReleaseAfterFoldClearsEveryMarkSliceBySlice)
+{
+    // The batched mark lifecycle over real lanes: the serial fold
+    // installs marks in id order, then each thread's releaseHeldMarks
+    // walks only its own slice. Releasing one slice must never touch a
+    // mark held by another slice's record, and after every slice has
+    // released, every mark is clean — whatever order the slices run in.
+    std::mt19937 rng(20261017);
+    for (int round = 0; round < 25; ++round) {
+        for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+            TaskStore<int> s;
+            const std::size_t n = 1 + rng() % 200;
+            build(s, n);
+            std::vector<Lockable> locs(1 + rng() % 64);
+
+            std::vector<std::uint32_t> slots;
+            for (std::uint32_t slot = 0; slot < n; ++slot)
+                if (rng() % 4 != 0)
+                    slots.push_back(slot);
+
+            // Inspect: each task collects a few random claims
+            // (duplicates included) into its thread's lane; some spans
+            // run past the kHeldClaimBits mask.
+            std::vector<std::vector<Lockable*>> lanes(threads);
+            for (unsigned tid = 0; tid < threads; ++tid) {
+                auto [begin, end] = blockRange(slots.size(), tid, threads);
+                for (std::size_t i = begin; i < end; ++i) {
+                    const auto off =
+                        static_cast<std::uint32_t>(lanes[tid].size());
+                    const unsigned k = rng() % 8 == 0
+                                           ? kHeldClaimBits + rng() % 9
+                                           : rng() % 5;
+                    for (unsigned j = 0; j < k; ++j)
+                        lanes[tid].push_back(&locs[rng() % locs.size()]);
+                    s.span(slots[i]) = AcquireSpan{
+                        off,
+                        static_cast<std::uint32_t>(lanes[tid].size()) -
+                            off};
+                }
+            }
+
+            // Serial fold: slices in thread order, i.e. ascending ids.
+            for (unsigned tid = 0; tid < threads; ++tid) {
+                auto [begin, end] = blockRange(slots.size(), tid, threads);
+                foldSliceClaims(s, slots, begin, end, lanes[tid].data());
+            }
+
+            // Owner release, slices in reverse thread order.
+            for (unsigned r = threads; r-- > 0;) {
+                std::vector<MarkOwner*> before(locs.size());
+                for (std::size_t li = 0; li < locs.size(); ++li)
+                    before[li] = locs[li].owner();
+                auto [begin, end] = blockRange(slots.size(), r, threads);
+                for (std::size_t i = begin; i < end; ++i) {
+                    const AcquireSpan sp = s.span(slots[i]);
+                    releaseHeldMarks(s.record(slots[i]),
+                                     lanes[r].data() + sp.off, sp.len);
+                }
+                for (std::size_t li = 0; li < locs.size(); ++li) {
+                    MarkOwner* o = before[li];
+                    if (o == nullptr)
+                        continue;
+                    const auto slot = static_cast<std::uint32_t>(o->id - 1);
+                    const auto pos = static_cast<std::size_t>(
+                        std::lower_bound(slots.begin(), slots.end(), slot) -
+                        slots.begin());
+                    const bool mine = pos >= begin && pos < end;
+                    EXPECT_EQ(locs[li].owner(), mine ? nullptr : o)
+                        << "round " << round << " threads " << threads
+                        << " slice " << r << " location " << li;
+                }
+            }
+            for (const Lockable& l : locs)
+                EXPECT_EQ(l.owner(), nullptr);
+            for (const std::uint32_t slot : slots)
+                EXPECT_EQ(s.record(slot)->heldClaims, 0u);
         }
     }
 }
