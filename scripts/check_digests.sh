@@ -1,8 +1,9 @@
 #!/bin/sh
 # Golden trace-digest regression check.
 #
-# Runs the digest_dump binary (every app under Exec::Det on 1/2/4/8
-# threads) and diffs its output against the committed golden file. A
+# Runs the digest_dump binary (every app under Exec::Det, rows "<app>",
+# and under Exec::DetRes, rows "<app>-detres", each on 1/2/4/8 threads)
+# and diffs its output against the committed golden file. A
 # mismatch means the deterministic schedule changed — either a bug in a
 # runtime refactor (fix it) or a deliberate policy change (regenerate
 # the golden file with `digest_dump > scripts/golden_digests.txt` and

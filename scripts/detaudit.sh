@@ -40,15 +40,18 @@
 #
 # A hit is fatal unless the (rule, file) pair appears in the allowlist
 # (scripts/detaudit_allowlist.txt), where every entry carries a comment
-# saying why the site is sound. Output is LC_ALL=C-sorted, so the report
-# is byte-identical across runs and machines.
+# saying why the site is sound. An allowlist entry that matches no hit is
+# fatal too: a stale entry would silently bless the next hit of its rule
+# in that file. Output is LC_ALL=C-sorted, so the report is
+# byte-identical across runs and machines.
 #
 # Usage: scripts/detaudit.sh [--no-allowlist] [--self-test]
 #   --no-allowlist  report every hit, including allowlisted ones (used
 #                   by tests to prove the seeded probe is visible to the
 #                   static audit), exit 1 if any exist
 #   --self-test     run the rules against a synthetic bad file and
-#                   verify each one fires (guards against rule rot)
+#                   verify each one fires (guards against rule rot), and
+#                   verify a stale allowlist entry is reported
 set -eu
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
@@ -94,6 +97,15 @@ run_rules() {
                                                                        | sed 's/^/R7 /' || true
         } | LC_ALL=C sort
     )
+}
+
+# Print every "<rule> <file>" entry of allowlist $1 that matches no hit in
+# $2 (run_rules output), in file order.
+stale_entries() {
+    grep -E '^R[0-9]+[ ]+[^ ]+$' "$1" | while read -r rule file; do
+        printf '%s\n' "$2" | cut -d: -f1 | grep -F -x -q "$rule $file" || \
+            echo "$rule $file"
+    done
 }
 
 # ----------------------------------------------------------------------
@@ -143,8 +155,17 @@ EOF
         echo "detaudit.sh: SELF-TEST FAILED: R7 fired inside the blessed core" >&2
         fail=1
     fi
+    # Stale-entry check: an entry with a hit passes, one without fails.
+    printf 'R3 src/bad.h\nR3 src/good.h\n' > "$tmp/allowlist.txt"
+    stale=$(stale_entries "$tmp/allowlist.txt" "$hits")
+    if [ "$stale" != "R3 src/good.h" ]; then
+        echo "detaudit.sh: SELF-TEST FAILED: stale entries reported as" \
+             "'$stale', expected 'R3 src/good.h'" >&2
+        fail=1
+    fi
     [ "$fail" -eq 0 ] || exit 1
-    echo "detaudit.sh: self-test OK (7 rules, 0 false positives)"
+    echo "detaudit.sh: self-test OK (7 rules, 0 false positives," \
+         "stale entries reported)"
     exit 0
 fi
 
@@ -152,6 +173,16 @@ fi
 # Scan src/ and split hits by the allowlist.
 # ----------------------------------------------------------------------
 hits=$(run_rules "$ROOT")
+
+if [ "$USE_ALLOWLIST" -eq 1 ] && [ -f "$ALLOWLIST" ]; then
+    stale=$(stale_entries "$ALLOWLIST" "$hits")
+    if [ -n "$stale" ]; then
+        echo "detaudit.sh: allowlist entries that match no hit (delete them):" >&2
+        printf '%s\n' "$stale" >&2
+        echo "detaudit.sh: FAILED (stale entries in scripts/detaudit_allowlist.txt)" >&2
+        exit 1
+    fi
+fi
 
 if [ -z "$hits" ]; then
     echo "detaudit.sh: OK (0 hits)"

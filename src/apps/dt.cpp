@@ -168,11 +168,10 @@ triangulate(Problem& prob, const Config& cfg)
         warmup = insertRange(prob, 0, prefix, serial_cfg);
     }
     RunReport report = insertRange(prob, prefix, n, cfg);
-    report.committed += warmup.committed;
-    report.atomicOps += warmup.atomicOps;
-    report.seconds += warmup.seconds;
-    report.cacheAccesses += warmup.cacheAccesses;
-    report.cacheMisses += warmup.cacheMisses;
+    // The serial warm-up has no rounds, trace or digest, so merging it
+    // adds its counters and time and leaves the schedule fields as the
+    // configured executor produced them.
+    report.merge(warmup);
     return report;
 }
 

@@ -227,36 +227,11 @@ galoisPfp(Graph& g, graph::Node source, graph::Node sink, const Config& cfg)
     FlowResult r;
     const std::uint32_t height_cap = 2 * g.numNodes();
     while (!active.empty()) {
-        const RunReport phase = forEach(active, op, cfg);
-        // Concatenate per-round observability data across phases,
-        // re-basing round numbers and the trace timeline so the merged
-        // report reads as one continuous run.
-        r.report.roundTrace.insert(r.report.roundTrace.end(),
-                                   phase.roundTrace.begin(),
-                                   phase.roundTrace.end());
-        for (runtime::TraceEvent e : phase.traceEvents) {
-            e.round += r.report.rounds;
-            e.startSeconds += r.report.seconds;
-            r.report.traceEvents.push_back(e);
-        }
-        r.report.committed += phase.committed;
-        r.report.aborted += phase.aborted;
-        r.report.atomicOps += phase.atomicOps;
-        r.report.pushed += phase.pushed;
-        r.report.rounds += phase.rounds;
-        r.report.generations += phase.generations;
-        r.report.seconds += phase.seconds;
-        r.report.cacheAccesses += phase.cacheAccesses;
-        r.report.cacheMisses += phase.cacheMisses;
-        r.report.threads = phase.threads;
-        // Chain the per-phase schedule digests so the whole multi-phase
-        // run has one portable fingerprint (0 under non-det executors).
-        if (phase.traceDigest != 0) {
-            if (r.report.traceDigest == 0)
-                r.report.traceDigest = runtime::kFnv1aOffset;
-            r.report.traceDigest =
-                runtime::fnv1aMix(r.report.traceDigest, phase.traceDigest);
-        }
+        // One report for the whole multi-phase run: rounds and the trace
+        // timeline continue across phases, and the per-phase schedule
+        // digests chain into one portable fingerprint (0 under non-det
+        // executors).
+        r.report.merge(forEach(active, op, cfg));
 
         // Refresh heights and gather the still-active nodes in id order
         // (deterministic).

@@ -31,12 +31,12 @@
 #define DETGALOIS_GALOIS_GALOIS_H
 
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "coredet/executor_coredet.h"
 #include "runtime/executor_det.h"
 #include "runtime/executor_det_ref.h"
-#include "runtime/executor_detres.h"
 #include "runtime/executor_nondet.h"
 #include "runtime/executor_serial.h"
 
@@ -55,10 +55,12 @@ enum class Exec
      *  for tests and debugging, not production runs. */
     DetRef,
     /** PBBS deterministic-reservations scheduling (reserve/commit/retry
-     *  over id-ordered prefixes, runtime/executor_detres.h). Output is
-     *  portable exactly like Det's — and EQUAL to Det's for the same
-     *  workload — but the round schedule (and the trace digest) is
-     *  backend-specific: result determinism without schedule identity. */
+     *  over id-ordered prefixes): the DIG executor with the reservation
+     *  admission policy (runtime/executor_det.h, runtime/window.h).
+     *  Output is portable exactly like Det's — and EQUAL to Det's for
+     *  the same workload — but the round schedule (and the trace
+     *  digest) is backend-specific: result determinism without schedule
+     *  identity. */
     DetRes,
     /** CoreDet-style DMP-O scheduling (coredet/executor_coredet.h):
      *  speculative execution whose every scheduling decision is
@@ -210,10 +212,14 @@ forEach(const std::vector<T>& initial, F&& op, const Config& cfg)
       case Exec::DetRef:
         return runtime::executeDetRef(initial, std::forward<F>(op),
                                       cfg.det);
-      case Exec::DetRes:
-        return runtime::executeDetRes(initial, std::forward<F>(op),
-                                      cfg.threads, cfg.det, cfg.detres,
-                                      cfg.collectLocality, cfg.traceRounds);
+      case Exec::DetRes: {
+        runtime::DetExecutor<T, std::remove_reference_t<F>,
+                             runtime::ReservationPolicy>
+            exec(op, cfg.threads, cfg.det,
+                 runtime::ReservationPolicy(cfg.detres), cfg.collectLocality,
+                 cfg.traceRounds);
+        return exec.run(initial);
+      }
       case Exec::CoreDet:
         return coredet::executeCoreDet(initial, std::forward<F>(op),
                                        cfg.threads, cfg.coredet,

@@ -1,15 +1,16 @@
 /**
  * @file
  * Deterministic interference-graph (DIG) scheduler — the paper's core
- * contribution (Section 3, Figures 2 and 3).
+ * contribution (Section 3, Figures 2 and 3) — and, with a different
+ * round-admission policy, the PBBS deterministic-reservations backend.
  *
  * Tasks are executed in *generations* (the `todo` sets of Figure 2): the
  * initial tasks form generation 0, tasks they create form generation 1,
  * and so on. Within a generation, tasks are ordered by deterministic ids
  * and executed over *rounds*; each round
  *
- *   1. takes a window-sized prefix `cur` of the remaining tasks
- *      (getWindowOfTasks),
+ *   1. takes an id-prefix `cur` of the remaining tasks, as many as the
+ *      admission policy allows (getWindowOfTasks),
  *   2. runs every task in `cur` up to its failsafe point, *collecting*
  *      its neighborhood into a per-thread acquire lane (inspect),
  *   3. folds the collected claims serially, in id order, into the mark
@@ -24,6 +25,17 @@
  *      (each mark has exactly one owner record after the fold, so each
  *      mark word has exactly one releasing thread).
  *
+ * One executor, two admission policies (runtime/window.h): the DIG
+ * scheduler and PBBS deterministic reservations run the same rounds and
+ * differ only in how many tasks a round admits — the adaptive window
+ * (WindowPolicy, Exec::Det) or a hand-tuned roundSize cap
+ * (ReservationPolicy, Exec::DetRes); that difference is the paper's
+ * "parameterless" argument (Section 3.2). PBBS's reserve / resolve /
+ * commit are this file's inspect / fold / select. The policy is a
+ * template parameter that also supplies the labels (AdmissionLabels:
+ * det.* or detres.* failpoint sites, "window" or "prefix" in watchdog
+ * diagnostics), so the round loop has no runtime dispatch.
+ *
  * This file is deliberately thin: it is the *policy* composition of five
  * standalone, unit-tested mechanisms —
  *
@@ -37,8 +49,7 @@
  *   - runtime/id_service.h: deterministic (parent id, birth rank)
  *     ranking + renumbering + locality spread (Figure 2 line 5 and the
  *     interleave of Section 3.3);
- *   - runtime/window.h: the adaptive commit-ratio window
- *     (calculateWindow of Figure 2, the "parameterless" policy);
+ *   - runtime/window.h: the admission policies above;
  *   - support/arena.h: generation-scoped storage for the task lanes and
  *     round-scoped storage for continuation state, so the steady-state
  *     hot path performs no per-task heap traffic.
@@ -46,7 +57,8 @@
  * Determinism argument (tested exhaustively in tests/runtime and pinned
  * end-to-end by scripts/golden_digests.txt):
  *   - ids are assigned by a deterministic sort of (parent id, birth rank),
- *   - the window is a deterministic function of per-round commit counts,
+ *   - the admitted prefix is a deterministic function of per-round commit
+ *     counts under either policy,
  *   - the serial fold computes, per location, the min over a totally
  *     ordered id set — the same function the eager markMin protocol
  *     computes with racing CASes, and min is independent of evaluation
@@ -60,15 +72,17 @@
  * smaller-id task conflicts with it — so a committed later-id task can
  * never have touched anything a pending earlier task reads, and the
  * final state equals the serial id-order execution for ANY round
- * partition. The window policy (adaptive, fixed-window ablation, or the
- * DetRes reservation prefix) changes the schedule — rounds, digest,
+ * partition. The admission policy (adaptive, fixed-window ablation, or
+ * the DetRes reservation prefix) changes the schedule — rounds, digest,
  * commit ratios — but never the output; tests/differential_test.cpp
  * pins this across all three deterministic backends.
  *
  * The three optimizations of Section 3.3 are all implemented and can be
  * toggled independently (DetOptions): the continuation (suspend/resume
  * with the flag protocol), locality-aware spreading of the iteration
- * order across rounds, and user pre-assigned ids.
+ * order across rounds, and user pre-assigned ids. They apply under both
+ * policies, so a DetRes run numbers its tasks exactly like a Det run of
+ * the same workload.
  */
 
 #ifndef DETGALOIS_RUNTIME_EXECUTOR_DET_H
@@ -83,6 +97,7 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "analysis/detsan.h"
@@ -268,22 +283,25 @@ struct DetOptions
 };
 
 /**
- * DIG executor for tasks of type T run by operator F.
+ * DIG executor for tasks of type T run by operator F, admitting rounds
+ * by Admission (WindowPolicy for Exec::Det, ReservationPolicy for
+ * Exec::DetRes; see runtime/window.h).
  *
  * Usage: construct, then run(initial). One-shot object.
  */
-template <typename T, typename F>
+template <typename T, typename F, typename Admission = WindowPolicy>
 class DetExecutor
 {
   public:
     DetExecutor(F& op, unsigned threads, const DetOptions& opt,
-                bool use_cache, bool trace_rounds = false)
+                Admission admission, bool use_cache,
+                bool trace_rounds = false)
         : op_(op),
           opt_(opt.validated()),
           engine_(threads, use_cache),
           idService_(opt_.localitySpread ? opt_.spreadBuckets : 1,
                      engine_.threads(), opt_.envLeakProbe),
-          window_(opt_.windowConfig()),
+          admission_(std::move(admission)),
           lanes_(engine_.threads()),
           outs_(engine_.threads())
     {
@@ -325,7 +343,7 @@ class DetExecutor
                 recordError(kBookkeepingErrorId);
                 break;
             }
-            window_.beginGeneration();
+            admission_.beginGeneration();
             carry_.clear();
             carryPos_ = 0;
             queuePos_ = 0;
@@ -402,6 +420,8 @@ class DetExecutor
      */
     static constexpr std::uint64_t kBookkeepingErrorId = 0;
 
+    static constexpr const AdmissionLabels& kLabels = Admission::kLabels;
+
     /**
      * Round-boundary job watchdog (via the engine's cancellation hook):
      * external cancellation and the wall-clock deadline. Throws
@@ -414,14 +434,16 @@ class DetExecutor
         if (opt_.cancelFlag &&
             opt_.cancelFlag->load(std::memory_order_relaxed)) {
             throw DeadlineError(
-                "DetExecutor job watchdog: run cancelled (generation " +
+                std::string(kLabels.executor) +
+                " job watchdog: run cancelled (generation " +
                 std::to_string(report_.generations) + ", round " +
                 std::to_string(report_.rounds) + ")");
         }
         if (opt_.wallDeadlineSeconds > 0 &&
             deadlineTimer_.seconds() > opt_.wallDeadlineSeconds) {
             throw DeadlineError(
-                "DetExecutor job watchdog: wall-clock deadline of " +
+                std::string(kLabels.executor) +
+                " job watchdog: wall-clock deadline of " +
                 std::to_string(opt_.wallDeadlineSeconds) +
                 " s exceeded (generation " +
                 std::to_string(report_.generations) + ", round " +
@@ -465,7 +487,7 @@ class DetExecutor
     void
     buildGeneration()
     {
-        FAILPOINT("det.idsort", report_.generations);
+        FAILPOINT(kLabels.idsortSite, report_.generations);
         store_.beginBuild(children_.size());
         idService_.assign(children_,
                           [this](PendingTask<T>&& c, std::uint64_t id) {
@@ -473,7 +495,7 @@ class DetExecutor
                           });
     }
 
-    /** getWindowOfTasks: take the id-smallest window prefix into cur_. */
+    /** getWindowOfTasks: take the id-smallest admitted prefix into cur_. */
     bool
     assembleRound()
     {
@@ -483,7 +505,7 @@ class DetExecutor
             return false;
 
         const std::uint64_t eff_window =
-            std::min<std::uint64_t>(window_.size(), remaining);
+            std::min<std::uint64_t>(admission_.size(), remaining);
         cur_.clear();
         // Deferred tasks (carry) have smaller ids than untried ones, so
         // they come first.
@@ -528,7 +550,7 @@ class DetExecutor
     }
 
     /**
-     * Deterministic merge + adaptive window update + progress watchdog.
+     * Deterministic merge + admission update + progress watchdog.
      * Runs even when an error was recorded this round: the round
      * completed in full (see spmd), so merging keeps the bookkeeping
      * consistent and the roundHook trace deterministic. The round's
@@ -538,7 +560,7 @@ class DetExecutor
     void
     mergeRound()
     {
-        FAILPOINT("det.merge", report_.rounds);
+        FAILPOINT(kLabels.mergeSite, report_.rounds);
         // Thread t owned a contiguous, id-ordered slice of cur, so
         // concatenating per-thread failure lists in thread order
         // preserves id order.
@@ -571,10 +593,10 @@ class DetExecutor
 
         ++report_.rounds;
         report_.roundTrace.push_back(
-            RoundSample{window_.size(), cur_.size(), committed});
+            RoundSample{admission_.size(), cur_.size(), committed});
         if (opt_.roundHook)
-            opt_.roundHook(window_.size(), cur_.size(), committed);
-        window_.update(cur_.size(), committed);
+            opt_.roundHook(admission_.size(), cur_.size(), committed);
+        admission_.update(cur_.size(), committed);
 
         // Progress watchdog: a correct cautious operator commits the
         // minimal-id task of every round, so repeated zero-commit rounds
@@ -597,12 +619,12 @@ class DetExecutor
             if (cur_.size() > show)
                 ids += ", ...";
             throw LivelockError(
-                "DetExecutor progress watchdog: " +
+                std::string(kLabels.executor) + " progress watchdog: " +
                 std::to_string(zeroCommitRounds_) +
                 " consecutive rounds committed 0 tasks (generation " +
                 std::to_string(report_.generations) + ", round " +
-                std::to_string(report_.rounds) + ", window " +
-                std::to_string(window_.size()) + ", " +
+                std::to_string(report_.rounds) + ", " + kLabels.sizeWord +
+                " " + std::to_string(admission_.size()) + ", " +
                 std::to_string((carry_.size() - carryPos_) +
                                (store_.size() - queuePos_)) +
                 " tasks pending); stuck task ids: [" + ids +
@@ -644,7 +666,7 @@ class DetExecutor
             const std::uint32_t slot = cur_[i];
             const auto off = static_cast<std::uint32_t>(lane.size());
             try {
-                FAILPOINT("det.inspect", store_.id(slot));
+                FAILPOINT(kLabels.inspectSite, store_.id(slot));
                 ctx.beginInspect(store_.record(slot), &lane,
                                  &store_.local(slot),
                                  &store_.localDeleter(slot));
@@ -698,7 +720,7 @@ class DetExecutor
         for (const std::uint32_t slot : out.selected) {
             bool ok;
             try {
-                FAILPOINT("det.commit", store_.id(slot));
+                FAILPOINT(kLabels.commitSite, store_.id(slot));
                 if (opt_.continuation) {
                     // Resume from the saved continuation state; the
                     // collected span is the declared neighborhood.
@@ -811,7 +833,7 @@ class DetExecutor
     DetOptions opt_;
     RoundEngine engine_;
     IdService idService_;
-    WindowPolicy window_;
+    Admission admission_; //!< how many tasks each round admits
 
     support::Timer deadlineTimer_; //!< job-watchdog clock (run() start)
     TaskStore<T> store_; //!< this generation's SoA task lanes
@@ -837,7 +859,8 @@ class DetExecutor
 };
 
 /**
- * Run all tasks under deterministic DIG scheduling.
+ * Run all tasks under deterministic DIG scheduling with the adaptive
+ * window (Exec::Det).
  *
  * The output state is a function of (initial, op, opt) only — never of
  * the thread count: this single entry point provides the paper's
@@ -849,8 +872,9 @@ executeDet(const std::vector<T>& initial, F&& op, unsigned threads,
            const DetOptions& opt = DetOptions(), bool use_cache = false,
            bool trace_rounds = false)
 {
-    DetExecutor<T, std::remove_reference_t<F>> exec(op, threads, opt,
-                                                    use_cache, trace_rounds);
+    DetExecutor<T, std::remove_reference_t<F>> exec(
+        op, threads, opt, WindowPolicy(opt.validated().windowConfig()),
+        use_cache, trace_rounds);
     return exec.run(initial);
 }
 

@@ -11,6 +11,7 @@
 #ifndef DETGALOIS_RUNTIME_STATS_H
 #define DETGALOIS_RUNTIME_STATS_H
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -216,6 +217,45 @@ struct RunReport
     {
         return seconds == 0 ? 0.0
                             : static_cast<double>(atomicOps) / (seconds * 1e6);
+    }
+
+    /**
+     * Fold in a run that followed this one, so a multi-loop app reports
+     * one run: counters, seconds and phase times add, the trajectory and
+     * o's trace spans (rebased onto this run's rounds and timeline)
+     * append, and a non-zero o.traceDigest chains into this digest
+     * (from the FNV offset if this one is still 0). A zero o.traceDigest
+     * — no deterministic schedule — leaves the digest as it is.
+     */
+    void
+    merge(const RunReport& o)
+    {
+        for (TraceEvent e : o.traceEvents) {
+            e.round += rounds;
+            e.startSeconds += seconds;
+            traceEvents.push_back(e);
+        }
+        roundTrace.insert(roundTrace.end(), o.roundTrace.begin(),
+                          o.roundTrace.end());
+        committed += o.committed;
+        aborted += o.aborted;
+        atomicOps += o.atomicOps;
+        pushed += o.pushed;
+        cacheAccesses += o.cacheAccesses;
+        cacheMisses += o.cacheMisses;
+        backoffYields += o.backoffYields;
+        rounds += o.rounds;
+        generations += o.generations;
+        seconds += o.seconds;
+        threads = std::max(threads, o.threads);
+        phases.assembleSeconds += o.phases.assembleSeconds;
+        phases.inspectSeconds += o.phases.inspectSeconds;
+        phases.foldSeconds += o.phases.foldSeconds;
+        phases.selectSeconds += o.phases.selectSeconds;
+        phases.mergeSeconds += o.phases.mergeSeconds;
+        if (o.traceDigest != 0)
+            traceDigest = fnv1aMix(
+                traceDigest != 0 ? traceDigest : kFnv1aOffset, o.traceDigest);
     }
 
     void

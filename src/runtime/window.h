@@ -1,8 +1,11 @@
 /**
  * @file
- * Adaptive commit-ratio window policy (Section 3.2 — calculateWindow of
- * Figure 2), extracted from the deterministic executor as a standalone,
- * unit-testable component.
+ * The two round-admission policies of DetExecutor (runtime/
+ * executor_det.h): the adaptive commit-ratio window (Section 3.2 —
+ * calculateWindow of Figure 2; Exec::Det) and the PBBS reservation
+ * prefix (Exec::DetRes). A policy answers one question — how many tasks
+ * the next round admits — through beginGeneration/size/update, and
+ * names its backend's diagnostics and failpoint sites (AdmissionLabels).
  *
  * The policy is the paper's "parameterless" knob replacement: instead of
  * a hand-tuned round size, the window doubles while the commit ratio
@@ -22,6 +25,23 @@
 #include <cstdint>
 
 namespace galois::runtime {
+
+/**
+ * The names a round-admission policy gives the DetExecutor it is plugged
+ * into: the executor name and size word its watchdog diagnostics print,
+ * and its four failpoint sites (support/failpoint.h). Compile-time
+ * constants of the policy type, so choosing a policy costs nothing in
+ * the round loop.
+ */
+struct AdmissionLabels
+{
+    const char* executor;    //!< backend name in Livelock/DeadlineError
+    const char* sizeWord;    //!< "window" or "prefix"
+    const char* idsortSite;  //!< generation build (key: generation)
+    const char* inspectSite; //!< per task, parallel phase 1 (key: id)
+    const char* commitSite;  //!< per selected task (key: id)
+    const char* mergeSite;   //!< serial merge (key: round)
+};
 
 /** Knobs of the window policy (a validated subset of DetOptions). */
 struct WindowConfig
@@ -54,6 +74,10 @@ struct WindowConfig
 class WindowPolicy
 {
   public:
+    static constexpr AdmissionLabels kLabels{
+        "DetExecutor", "window",     "det.idsort",
+        "det.inspect", "det.commit", "det.merge"};
+
     WindowPolicy() = default;
 
     explicit WindowPolicy(const WindowConfig& cfg) : cfg_(cfg) {}
@@ -113,21 +137,38 @@ class WindowPolicy
     std::uint64_t window_ = 0;
 };
 
-/** Knobs of the deterministic-reservations prefix schedule (the
- *  validated subset of DetResOptions). */
-struct ReservationConfig
+/**
+ * Tuning of the deterministic-reservations prefix schedule (Exec::DetRes,
+ * Config::detres). Like DetOptions, the output of a run is a function of
+ * these values and the input alone — never of the thread count. Unlike
+ * DetOptions, roundSize is a genuine hand-tuned parameter (the PBBS
+ * round size); changing it changes the schedule (and the DetRes digest)
+ * but never the final state.
+ */
+struct DetResOptions
 {
-    /** Hard cap on tasks per round — the PBBS round-size parameter. */
+    /** Tasks per round, hard cap — the PBBS round-size parameter. */
     std::uint64_t roundSize = 4096;
     /** Prefix floor while nothing has committed yet (BRIO warm-up). */
     std::uint64_t initialPrefix = 32;
+
+    /** Validate and sanitize: clamps degenerate values (a zero
+     *  roundSize or initialPrefix would freeze the prefix at zero and
+     *  spin forever on a non-empty queue). */
+    DetResOptions
+    validated() const
+    {
+        DetResOptions v = *this;
+        v.roundSize = std::max<std::uint64_t>(1, roundSize);
+        v.initialPrefix = std::max<std::uint64_t>(1, initialPrefix);
+        return v;
+    }
 };
 
 /**
  * Deterministic-reservations prefix schedule — the round-size policy of
- * PBBS's speculative_for (Blelloch et al.), extracted so Exec::DetRes
- * can reuse the same round engine as the DIG executor with a different
- * windowing discipline.
+ * PBBS's speculative_for (Blelloch et al.). Plugged into DetExecutor in
+ * place of WindowPolicy it turns the DIG executor into Exec::DetRes.
  *
  * Where WindowPolicy adapts on the *commit ratio*, this policy grows
  * the prefix with the *cumulative committed count*:
@@ -145,9 +186,12 @@ struct ReservationConfig
 class ReservationPolicy
 {
   public:
-    ReservationPolicy() = default;
+    static constexpr AdmissionLabels kLabels{
+        "DetExecutor (DetRes)", "prefix",        "detres.idsort",
+        "detres.reserve",       "detres.commit", "detres.merge"};
 
-    explicit ReservationPolicy(const ReservationConfig& cfg) : cfg_(cfg)
+    explicit ReservationPolicy(const DetResOptions& opt)
+        : opt_(opt.validated())
     {}
 
     /** Start a generation. The committed count persists (see above). */
@@ -157,8 +201,8 @@ class ReservationPolicy
     std::uint64_t
     size() const
     {
-        return std::min(cfg_.roundSize,
-                        std::max(cfg_.initialPrefix, committed_));
+        return std::min(opt_.roundSize,
+                        std::max(opt_.initialPrefix, committed_));
     }
 
     /** Fold one round's outcome into the cumulative committed count. */
@@ -169,7 +213,7 @@ class ReservationPolicy
     }
 
   private:
-    ReservationConfig cfg_;
+    DetResOptions opt_;
     std::uint64_t committed_ = 0;
 };
 

@@ -2,13 +2,15 @@
  * @file
  * Tests for the extension applications (sssp, cc): agreement with the
  * classical sequential references across all executors, and the
- * determinism properties on the unique-fixed-point workloads.
+ * determinism properties on the unique-fixed-point workloads. Also
+ * checks that pfp's multi-phase report keeps every field of its phases.
  */
 
 #include <gtest/gtest.h>
 
 #include "apps/cc.h"
 
+#include "apps/pfp.h"
 #include "graph/generators.h"
 #include "apps/sssp.h"
 
@@ -186,4 +188,24 @@ TEST(Cc, ChainIsOneComponent)
     const auto l = apps::cc::labels(g);
     for (Node i = 0; i < 400; ++i)
         ASSERT_EQ(l[i], 0u); // min label propagates end to end
+}
+
+// ---------------------------------------------------------------------
+// PFP report
+// ---------------------------------------------------------------------
+
+TEST(Pfp, DetReportKeepsEveryPhaseField)
+{
+    // pfp runs one forEach per global-relabel phase and merges their
+    // reports. The merged report must carry the phases' per-phase times
+    // and a window trajectory with one sample per round.
+    const graph::Node n = 256;
+    auto edges = graph::randomFlowNetwork(n, 4, 50, 31);
+    apps::pfp::Graph g(n, edges, /*find_reverse=*/true);
+    const auto r = apps::pfp::galoisPfp(g, 0, n - 1, makeCfg(Exec::Det, 2));
+    ASSERT_GT(r.report.rounds, 0u);
+    EXPECT_GT(r.report.phases.inspectSeconds, 0.0);
+    EXPECT_GT(r.report.phases.selectSeconds, 0.0);
+    EXPECT_EQ(r.report.roundTrace.size(), r.report.rounds);
+    EXPECT_NE(r.report.traceDigest, 0u);
 }

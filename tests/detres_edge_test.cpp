@@ -224,6 +224,10 @@ TEST_F(DetResEdge, WatchdogFiresDeterministically)
     ASSERT_FALSE(ref.empty()) << "watchdog did not fire";
     EXPECT_NE(ref.find("progress watchdog"), std::string::npos) << ref;
     EXPECT_NE(ref.find("not cautious"), std::string::npos) << ref;
+    // The reservation policy's labels: the backend and its prefix.
+    EXPECT_NE(ref.find("DetRes"), std::string::npos) << ref;
+    EXPECT_NE(ref.find(", prefix "), std::string::npos) << ref;
+    EXPECT_EQ(ref.find("window"), std::string::npos) << ref;
     for (unsigned threads : {2u, 4u, 8u})
         EXPECT_EQ(run(threads), ref) << threads << " threads";
 }

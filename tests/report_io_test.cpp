@@ -119,6 +119,86 @@ TEST(TraceRounds, SameScheduleWithAndWithoutTracing)
 }
 
 // ---------------------------------------------------------------------
+// RunReport::merge
+// ---------------------------------------------------------------------
+
+TEST(RunReportMerge, SumsAppendsRebasesAndChainsDigests)
+{
+    auto make = [](std::uint64_t base, std::uint64_t digest) {
+        RunReport r;
+        r.committed = base + 1;
+        r.aborted = base + 2;
+        r.atomicOps = base + 3;
+        r.pushed = base + 4;
+        r.cacheAccesses = base + 5;
+        r.cacheMisses = base + 6;
+        r.backoffYields = base + 7;
+        r.rounds = 2;
+        r.generations = 1;
+        r.traceDigest = digest;
+        r.seconds = 0.5;
+        r.threads = 2;
+        r.phases.assembleSeconds = 0.01;
+        r.phases.inspectSeconds = 0.02;
+        r.phases.foldSeconds = 0.03;
+        r.phases.selectSeconds = 0.04;
+        r.phases.mergeSeconds = 0.05;
+        r.roundTrace = {RoundSample{base, 4, 3}, RoundSample{base, 1, 1}};
+        r.traceEvents = {
+            TraceEvent{1, TraceEvent::Phase::Inspect, 0.1, 0.1},
+            TraceEvent{2, TraceEvent::Phase::Merge, 0.3, 0.1}};
+        return r;
+    };
+
+    RunReport a = make(10, 0xaaaa);
+    a.merge(make(20, 0xbbbb));
+    EXPECT_EQ(a.committed, 11u + 21u);
+    EXPECT_EQ(a.aborted, 12u + 22u);
+    EXPECT_EQ(a.atomicOps, 13u + 23u);
+    EXPECT_EQ(a.pushed, 14u + 24u);
+    EXPECT_EQ(a.cacheAccesses, 15u + 25u);
+    EXPECT_EQ(a.cacheMisses, 16u + 26u);
+    EXPECT_EQ(a.backoffYields, 17u + 27u);
+    EXPECT_EQ(a.rounds, 4u);
+    EXPECT_EQ(a.generations, 2u);
+    EXPECT_EQ(a.threads, 2u);
+    EXPECT_DOUBLE_EQ(a.seconds, 1.0);
+    EXPECT_DOUBLE_EQ(a.phases.assembleSeconds, 0.02);
+    EXPECT_DOUBLE_EQ(a.phases.inspectSeconds, 0.04);
+    EXPECT_DOUBLE_EQ(a.phases.foldSeconds, 0.06);
+    EXPECT_DOUBLE_EQ(a.phases.selectSeconds, 0.08);
+    EXPECT_DOUBLE_EQ(a.phases.mergeSeconds, 0.10);
+    // The window trajectory appends in run order.
+    ASSERT_EQ(a.roundTrace.size(), 4u);
+    EXPECT_EQ(a.roundTrace[1], (RoundSample{10, 1, 1}));
+    EXPECT_EQ(a.roundTrace[2], (RoundSample{20, 4, 3}));
+    // The second run's spans continue the first's rounds and timeline.
+    ASSERT_EQ(a.traceEvents.size(), 4u);
+    EXPECT_EQ(a.traceEvents[2].round, 3u);
+    EXPECT_EQ(a.traceEvents[3].round, 4u);
+    EXPECT_DOUBLE_EQ(a.traceEvents[2].startSeconds, 0.6);
+    EXPECT_DOUBLE_EQ(a.traceEvents[3].startSeconds, 0.8);
+    EXPECT_EQ(a.traceEvents[3].phase, TraceEvent::Phase::Merge);
+    // Non-zero digests chain in merge order.
+    EXPECT_EQ(a.traceDigest, runtime::fnv1aMix(0xaaaa, 0xbbbb));
+
+    // A zero digest (no deterministic schedule) is neutral on either
+    // side: merging it changes nothing, and merging into an empty report
+    // starts the chain from the FNV offset.
+    RunReport b = make(10, 0xaaaa);
+    b.merge(make(20, 0));
+    EXPECT_EQ(b.traceDigest, 0xaaaau);
+    RunReport c;
+    c.merge(make(20, 0xbbbb));
+    EXPECT_EQ(c.traceDigest, runtime::fnv1aMix(runtime::kFnv1aOffset, 0xbbbb));
+    c.merge(make(30, 0));
+    EXPECT_EQ(c.traceDigest, runtime::fnv1aMix(runtime::kFnv1aOffset, 0xbbbb));
+    RunReport none;
+    none.merge(make(20, 0));
+    EXPECT_EQ(none.traceDigest, 0u);
+}
+
+// ---------------------------------------------------------------------
 // BENCH_results.json
 // ---------------------------------------------------------------------
 

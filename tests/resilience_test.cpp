@@ -512,6 +512,10 @@ TEST_F(ResilienceTest, WatchdogDetectsNonCautiousOperator)
     EXPECT_NE(ref.find("8 consecutive rounds"), std::string::npos);
     EXPECT_NE(ref.find("stuck task ids"), std::string::npos);
     EXPECT_NE(ref.find("not cautious"), std::string::npos);
+    // The adaptive window policy's labels: Det, not DetRes, and its window.
+    EXPECT_NE(ref.find(", window "), std::string::npos) << ref;
+    EXPECT_EQ(ref.find("DetRes"), std::string::npos) << ref;
+    EXPECT_EQ(ref.find("prefix"), std::string::npos) << ref;
     // The diagnostic — including the stuck ids — is thread-count
     // invariant, like everything else about the schedule.
     EXPECT_EQ(run(2), ref);
