@@ -133,11 +133,13 @@ struct RecordGroup
     std::string executor;
     unsigned threads = 0;
     std::vector<double> seconds;
-    runtime::RunReport last; //!< report of the latest rep
+    /** Report of the fastest rep (first on ties): the min_s headline
+     *  and every per-rep field of the record — phases, counters,
+     *  window trajectory, chrome-trace row — come from this one run. */
+    runtime::RunReport best;
 };
 
 std::vector<RecordGroup> g_groups;
-std::vector<runtime::TraceRun> g_traces;
 bool g_atexit_installed = false;
 bool g_flushed = false;
 
@@ -165,17 +167,9 @@ recordRun(const std::string& app, const std::string& executor,
         group->executor = executor;
         group->threads = threads;
     }
-    const bool first_trace =
-        group->seconds.empty() && !report.traceEvents.empty();
+    if (group->seconds.empty() || report.seconds < group->best.seconds)
+        group->best = report;
     group->seconds.push_back(report.seconds);
-    group->last = report;
-    if (first_trace) {
-        runtime::TraceRun run;
-        run.label =
-            app + "/" + executor + "/t" + std::to_string(threads);
-        run.events = report.traceEvents;
-        g_traces.push_back(std::move(run));
-    }
 }
 
 std::vector<runtime::BenchRecord>
@@ -185,11 +179,9 @@ collectBenchRecords()
     records.reserve(g_groups.size());
     for (const RecordGroup& g : g_groups) {
         runtime::BenchRecord rec =
-            runtime::makeBenchRecord(g.app, g.executor, g.threads, g.last);
+            runtime::makeBenchRecord(g.app, g.executor, g.threads, g.best);
         rec.reps = static_cast<int>(g.seconds.size());
         rec.medianSeconds = median(g.seconds);
-        rec.minSeconds =
-            *std::min_element(g.seconds.begin(), g.seconds.end());
         records.push_back(std::move(rec));
     }
     return records;
@@ -217,12 +209,20 @@ flushBenchOutputs()
                          s.jsonPath.c_str());
         }
     }
-    if (!s.tracePath.empty() && !g_traces.empty()) {
+    if (s.tracePath.empty())
+        return;
+    std::vector<runtime::TraceRun> traces;
+    for (const RecordGroup& g : g_groups)
+        if (!g.best.traceEvents.empty())
+            traces.push_back(runtime::TraceRun{
+                g.app + "/" + g.executor + "/t" + std::to_string(g.threads),
+                g.best.traceEvents});
+    if (!traces.empty()) {
         std::ofstream os(s.tracePath);
         if (os) {
-            runtime::writeTraceEvents(os, g_traces);
+            runtime::writeTraceEvents(os, traces);
             std::fprintf(stderr, "[bench] wrote %zu trace rows to %s\n",
-                         g_traces.size(), s.tracePath.c_str());
+                         traces.size(), s.tracePath.c_str());
         } else {
             std::fprintf(stderr, "[bench] cannot open %s\n",
                          s.tracePath.c_str());

@@ -61,8 +61,11 @@ bool traceRequested();
 /**
  * Record one measured execution into the process-global recorder.
  * Repetitions of the same (app, executor, threads) key collapse into a
- * single BenchRecord whose median_s is the median over reps; the first
- * non-empty traceEvents of a key becomes its chrome-trace row.
+ * single BenchRecord whose median_s is the median over reps and whose
+ * min_s is the fastest rep; every other per-rep field (phases,
+ * counters, window trajectory) and the key's chrome-trace row come
+ * from that fastest rep, so the headline time and its breakdown
+ * describe the same run.
  */
 void recordRun(const std::string& app, const std::string& executor,
                unsigned threads, const runtime::RunReport& report);

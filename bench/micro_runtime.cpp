@@ -295,8 +295,7 @@ BENCHMARK(BM_DetSanValueChannelTainted);
 
 /** Per-task executor overhead: N trivial independent tasks. */
 void
-executorOverhead(benchmark::State& state, Exec exec, unsigned threads,
-                 PhaseFusion fusion = PhaseFusion::Fused)
+executorOverhead(benchmark::State& state, Exec exec, unsigned threads)
 {
     const int n = 16384;
     std::vector<Lockable> locks(n);
@@ -306,7 +305,6 @@ executorOverhead(benchmark::State& state, Exec exec, unsigned threads,
     Config cfg;
     cfg.exec = exec;
     cfg.threads = threads;
-    cfg.det.fusion = fusion;
     for (auto _ : state) {
         auto report = forEach(
             init,
@@ -343,31 +341,6 @@ BM_ExecutorDet(benchmark::State& state)
                      static_cast<unsigned>(state.range(0)));
 }
 BENCHMARK(BM_ExecutorDet)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-
-/**
- * Barrier-placement A/B of the round protocol (PhaseFusion): identical
- * schedule and work, two rendezvous per round (fused, serial steps in
- * barrier completion sections) vs five (unfused legacy shape). The gap
- * is the per-round synchronization cost the fusion removes — visible
- * at multi-thread counts, where each rendezvous parks real peers.
- */
-void
-BM_RoundFused(benchmark::State& state)
-{
-    executorOverhead(state, Exec::Det,
-                     static_cast<unsigned>(state.range(0)),
-                     PhaseFusion::Fused);
-}
-BENCHMARK(BM_RoundFused)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-
-void
-BM_RoundUnfused(benchmark::State& state)
-{
-    executorOverhead(state, Exec::Det,
-                     static_cast<unsigned>(state.range(0)),
-                     PhaseFusion::Unfused);
-}
-BENCHMARK(BM_RoundUnfused)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -20,7 +20,7 @@ struct TaskScope
 {
     bool active = false;
     bool writing = false;       //!< cautiousness state: seen first write?
-    bool pastFailsafe = false;  //!< cautiousPoint() was called
+    bool pastFailsafe = false;  //!< tryCautiousPoint() was called
     std::uint64_t taskId = 0;
     std::uint64_t generation = 0;
     std::uint64_t round = 0;

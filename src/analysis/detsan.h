@@ -10,7 +10,7 @@
  *     the task before its data is touched. An unmarked access is a data
  *     race that silently reintroduces nondeterminism.
  *  2. **Cautiousness**: all acquires happen before the task's first write
- *     (equivalently, before its cautiousPoint()). The non-aborting
+ *     (equivalently, before its tryCautiousPoint()). The non-aborting
  *     deterministic executor and the undo-log-free speculative abort path
  *     are only sound for cautious operators.
  *
@@ -35,7 +35,7 @@
  * legitimately have lost a mark it correctly declared.
  *
  * Cautiousness is a per-execution state machine: Acquire -> Write, where
- * the transition is the first DETSAN_WRITE or the cautiousPoint() call,
+ * the transition is the first DETSAN_WRITE or the tryCautiousPoint() call,
  * and any acquire() in the Write state is a violation.
  *
  * v2 — the environment audit layer. The discipline checks above protect
@@ -113,7 +113,7 @@ enum class ViolationKind : std::uint8_t
     UnmarkedWrite,      //!< write to a location the task never acquired
     UnmarkedAccess,     //!< mutable access (read-or-write accessor path)
     AcquireAfterWrite,  //!< acquire() after the task's first write
-    AcquireAfterFailsafe, //!< acquire() after cautiousPoint()
+    AcquireAfterFailsafe, //!< acquire() after tryCautiousPoint()
     EnvLeak             //!< environment-derived value reached a checked channel
 };
 

@@ -90,10 +90,6 @@ using DetResOptions = runtime::DetResOptions;
 /** CoreDet scheduler tuning (Config::coredet; Exec::CoreDet only):
  *  quantum size and token-rotation policy. */
 using CoreDetOptions = coredet::CoreDetOptions;
-/** Barrier placement of the deterministic round protocol (A/B knob —
- *  Config::det.fusion; Fused is the default, Unfused the legacy
- *  five-barrier shape). The schedule and digest are identical in both. */
-using runtime::PhaseFusion;
 /** Thrown by the deterministic executor's progress watchdog. */
 using runtime::LivelockError;
 /** Thrown by the wall-clock job watchdog / external cancellation
@@ -189,8 +185,7 @@ parseExec(const std::string& name)
  * @tparam T  task value type (copyable).
  * @tparam F  callable void(T&, Context<T>&); must follow the cautious-task
  *            discipline (acquire everything before the first write, and
- *            mark the boundary with `if (ctx.tryCautiousPoint()) return;`
- *            or the throwing ctx.cautiousPoint()).
+ *            mark the boundary with `if (ctx.tryCautiousPoint()) return;`).
  * @return aggregate statistics of the run.
  */
 template <typename T, typename F>

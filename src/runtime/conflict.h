@@ -31,14 +31,6 @@ namespace galois::runtime {
 struct ConflictSignal
 {};
 
-/**
- * Thrown by UserContext::cautiousPoint() during the deterministic inspect
- * phase to stop the task at its failsafe point (Section 3.2: "when the
- * task reaches its failsafe point ... it immediately returns").
- */
-struct FailsafeSignal
-{};
-
 // ----------------------------------------------------------------------
 // Batched mark claims (serial fold of the collected acquire sets).
 //

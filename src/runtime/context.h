@@ -7,8 +7,9 @@
  *
  *  - declares its neighborhood with acquire() (abstract-location locking,
  *    Section 2.1);
- *  - announces its failsafe point with cautiousPoint() (the boundary
- *    between the read prefix and the write suffix of a cautious task);
+ *  - announces its failsafe point with `if (ctx.tryCautiousPoint())
+ *    return;` (the boundary between the read prefix and the write
+ *    suffix of a cautious task);
  *  - creates new tasks with push() (the S(t) of Figure 1a);
  *  - optionally saves inspect-phase state for the continuation
  *    optimization with saveState()/savedState() (Section 3.3).
@@ -96,7 +97,7 @@ class UserContext
     {
 #if defined(DETGALOIS_DETSAN)
         // Cautiousness verifier: an acquire after the task's first write
-        // (or after cautiousPoint()) is recorded — the non-aborting DIG
+        // (or after tryCautiousPoint()) is recorded — the non-aborting DIG
         // executor is only sound for cautious operators.
         analysis::noteAcquire(&l);
 #endif
@@ -135,33 +136,18 @@ class UserContext
     }
 
     /**
-     * Failsafe-point annotation: all acquires are done, writes may begin.
-     *
-     * Under DIG inspect this unwinds the operator (the paper's system
-     * returns from the task at its first global write; we use an explicit
-     * annotation instead of a compiler transform).
-     */
-    void
-    cautiousPoint()
-    {
-#if defined(DETGALOIS_DETSAN)
-        analysis::noteCautiousPoint();
-#endif
-        if (mode_ == Mode::DetInspect || mode_ == Mode::DetInspectEager)
-            throw FailsafeSignal{};
-    }
-
-    /**
-     * Throw-free failsafe-point annotation: returns true when the
-     * operator should stop here (DIG inspect — the executor treats the
-     * return as "stopped at the failsafe point"), false when it should
-     * continue into its write suffix. Operators use it as
+     * Failsafe-point annotation: all acquires are done, writes may
+     * begin. Returns true when the operator should stop here (DIG
+     * inspect — Section 3.2: "when the task reaches its failsafe point
+     * ... it immediately returns"), false when it should continue into
+     * its write suffix. Operators use it as
      *
      *   if (ctx.tryCautiousPoint()) return;
      *
-     * Semantically identical to cautiousPoint(), minus the exception:
-     * on inspect-heavy workloads the unwind machinery dominates the
-     * 1-thread deterministic overhead, so the hot apps use this form.
+     * The paper's system returns from the task at its first global
+     * write; an explicit annotation replaces that compiler transform,
+     * and a return rather than an exception keeps the unwind machinery
+     * off the inspect path.
      */
     [[nodiscard]] bool
     tryCautiousPoint()

@@ -40,9 +40,9 @@
  * standalone, unit-tested mechanisms —
  *
  *   - runtime/round_engine.h: the SPMD harness (thread clamp, barriers,
- *     per-thread stats/caches, the fused two-barrier round protocol —
- *     serial steps ride barrier completion sections — with an unfused
- *     A/B variant, serial-section fault containment and phase timing);
+ *     per-thread stats/caches, the two-barrier round protocol — serial
+ *     steps ride barrier completion sections — with serial-section
+ *     fault containment and phase timing);
  *   - runtime/task_store.h: struct-of-arrays task storage (id/flag,
  *     item, acquire-span, continuation and failure lanes, generation-
  *     scoped in an arena) plus the prefix-sum selection compactSelect;
@@ -165,15 +165,6 @@ struct DetOptions
     bool continuation = true;
     /** Spread adjacent tasks across rounds (locality optimization). */
     bool localitySpread = true;
-    /**
-     * Barrier placement of the round protocol (runtime/round_engine.h):
-     * Fused (default) runs the serial fold/merge/assemble steps inside
-     * barrier completion sections — two rendezvous per round; Unfused
-     * keeps a dedicated barrier around every serial step — five. Pure
-     * A/B knob: both placements execute the identical step sequence,
-     * so the schedule and digest cannot depend on it.
-     */
-    PhaseFusion fusion = PhaseFusion::Fused;
     /** Commit-ratio target of the adaptive window policy. */
     double commitTarget = 0.95;
     /** Window never shrinks below this many tasks. */
@@ -306,7 +297,6 @@ class DetExecutor
           outs_(engine_.threads())
     {
         engine_.enableTrace(trace_rounds);
-        engine_.setFusion(opt_.fusion);
         for (unsigned t = 0; t < engine_.threads(); ++t)
             scratchArenas_.emplace_back();
     }
@@ -670,12 +660,10 @@ class DetExecutor
                 ctx.beginInspect(store_.record(slot), &lane,
                                  &store_.local(slot),
                                  &store_.localDeleter(slot));
+                // The operator returns at its failsafe point
+                // (tryCautiousPoint()) or, with no write at all, at its
+                // end: either way its whole run was prefix.
                 op_(store_.item(slot), ctx);
-                // Operator returned without reaching a write (plain
-                // return or tryCautiousPoint()): its whole body is
-                // prefix; nothing more to do.
-            } catch (const FailsafeSignal&) {
-                // Normal: the task stopped at its failsafe point.
             } catch (...) {
                 recordError(store_.id(slot));
                 store_.setTaskFailed(slot);

@@ -136,13 +136,9 @@ executeDetRef(const std::vector<T>& initial, F&& op,
             // the differential tests compare two independent
             // implementations of the same interference-graph semantics.
             for (detail::RefRecord<T>* r : cur) {
-                try {
-                    ctx.beginTask(UserContext<T>::Mode::DetInspectEager, r,
-                                  &r->nbhd);
-                    op(r->item, ctx);
-                } catch (const FailsafeSignal&) {
-                    // Normal: stopped at the failsafe point.
-                }
+                ctx.beginTask(UserContext<T>::Mode::DetInspectEager, r,
+                              &r->nbhd);
+                op(r->item, ctx);
             }
 #if defined(DETGALOIS_DETSAN)
             analysis::endTask();

@@ -15,13 +15,11 @@
  *  - bindContext(): the per-thread UserContext wiring (stats + cache)
  *    that was previously copy-pasted across the three executors;
  *  - spmd(): dispatch a parallel region on the engine's thread count;
- *  - roundLoop(): the round protocol — fused (two barriers per round,
- *    serial steps riding barrier completion sections) or unfused (one
- *    barrier around every step, for A/B comparison and debugging;
- *    PhaseFusion) — with serial-section fault containment (a throwing
- *    bookkeeping step must stop the loop at a round boundary, never
- *    strand peers at a barrier) and per-phase wall-clock timing into
- *    RunReport::phases;
+ *  - roundLoop(): the round protocol — two barriers per round, serial
+ *    steps riding barrier completion sections — with serial-section
+ *    fault containment (a throwing bookkeeping step must stop the loop
+ *    at a round boundary, never strand peers at a barrier) and
+ *    per-phase wall-clock timing into RunReport::phases;
  *  - finish(): stats aggregation + timing into a RunReport.
  *
  * blockRange() — the deterministic contiguous partition of n items over
@@ -48,23 +46,6 @@
 #include "support/timer.h"
 
 namespace galois::runtime {
-
-/**
- * Barrier placement policy of the round protocol.
- *
- * Fused (the default): two barriers per round. Every serial step runs
- * as a *completion section* of the barrier that ends the phase before
- * it — executed by the last-arriving thread while all peers are still
- * parked, which preserves exactly the quiescence a dedicated barrier
- * pair provided (see support/barrier.h). Unfused: the legacy shape with
- * a standalone barrier around every serial step (five rendezvous per
- * round), kept selectable for A/B measurement and debugging.
- */
-enum class PhaseFusion
-{
-    Fused,
-    Unfused
-};
 
 /** Contiguous [begin, end) slice of n items for thread tid of nthreads. */
 inline std::pair<std::size_t, std::size_t>
@@ -126,9 +107,6 @@ class RoundEngine
         support::ThreadPool::get().run(threads_, std::forward<Fn>(fn));
     }
 
-    /** Rendezvous of all region threads (exposed for custom phases). */
-    void sync() { barrier_.wait(); }
-
     /** Calling thread's stats slot (for non-context bookkeeping). */
     ThreadStats& localStats() { return stats_.local(); }
 
@@ -157,10 +135,6 @@ class RoundEngine
         cancelCheck_ = std::move(check);
     }
 
-    /** Select the barrier placement of roundLoop() (default: Fused). */
-    void setFusion(PhaseFusion f) { fusion_ = f; }
-    PhaseFusion fusion() const { return fusion_; }
-
     /**
      * The deterministic round protocol, run by every region thread.
      * Four serial steps and two parallel phases per round:
@@ -171,7 +145,7 @@ class RoundEngine
      *   phase2(tid) parallel select-and-execute
      *   merge()     serial   deterministic merge + window update
      *
-     * Fused placement (two rendezvous per round, the default):
+     * Barrier placement (two rendezvous per round):
      *
      *   barrier{ assemble }                     // entry, opens round 1
      *   loop: if !active: return
@@ -179,12 +153,10 @@ class RoundEngine
      *         phase2(tid); barrier{ merge; assemble }
      *
      * each serial step running as the completion section of the barrier
-     * that closes the phase before it — same quiescence as a dedicated
-     * barrier pair (support/barrier.h), two rendezvous instead of five.
-     * Unfused placement keeps every serial step between its own pair of
-     * barriers (the legacy shape, five rendezvous per round), for A/B
-     * runs; both placements execute the identical step sequence, so the
-     * schedule — and the trace digest — cannot differ between them.
+     * that closes the phase before it: it runs on the last-arriving
+     * thread while every peer is parked, the same quiescence a dedicated
+     * barrier pair around it would give (support/barrier.h), with two
+     * rendezvous per round instead of five.
      *
      * A serial step that throws calls on_error() from inside the catch
      * block (std::current_exception() is live) and the loop stops at
@@ -194,9 +166,8 @@ class RoundEngine
      * fold would be a nondeterministic interference graph — but is
      * wrapped here as a last line of defense.) Wall time is accounted
      * per phase into the profile returned by finish(): parallel phases
-     * span completion-to-completion (fused) or barrier-to-barrier
-     * (unfused), so stragglers are included; serial steps are timed
-     * inside their section. In fused mode the accounting runs on the
+     * span completion-to-completion, so stragglers are included; serial
+     * steps are timed inside their section. The accounting runs on the
      * last-arriving thread — serialized by the barrier itself, so the
      * engine's phase state needs no extra synchronization.
      */
@@ -206,52 +177,24 @@ class RoundEngine
     roundLoop(unsigned tid, Assemble&& assemble, Phase1&& phase1, Mid&& mid,
               Phase2&& phase2, Merge&& merge, OnSerialError&& on_error)
     {
-        if (fusion_ == PhaseFusion::Fused) {
-            barrier_.wait([&] { openRound(assemble, on_error); });
-            for (;;) {
-                if (!roundActive_)
-                    return;
-                phase1(tid);
-                barrier_.wait([&] {
-                    stampParallel(TraceEvent::Phase::Inspect);
-                    runSerial(TraceEvent::Phase::Fold,
-                              phases_.foldSeconds, mid, on_error);
-                    phaseClock_.start();
-                });
-                phase2(tid);
-                barrier_.wait([&] {
-                    stampParallel(TraceEvent::Phase::Select);
-                    runSerial(TraceEvent::Phase::Merge,
-                              phases_.mergeSeconds, merge, on_error);
-                    openRound(assemble, on_error);
-                });
-            }
-        }
-        // Unfused: every serial step on thread 0 between its own
-        // barriers.
+        barrier_.wait([&] { openRound(assemble, on_error); });
         for (;;) {
-            if (tid == 0)
-                openRound(assemble, on_error);
-            barrier_.wait();
             if (!roundActive_)
                 return;
             phase1(tid);
-            barrier_.wait();
-            if (tid == 0) {
+            barrier_.wait([&] {
                 stampParallel(TraceEvent::Phase::Inspect);
                 runSerial(TraceEvent::Phase::Fold, phases_.foldSeconds,
                           mid, on_error);
                 phaseClock_.start();
-            }
-            barrier_.wait();
+            });
             phase2(tid);
-            barrier_.wait();
-            if (tid == 0) {
+            barrier_.wait([&] {
                 stampParallel(TraceEvent::Phase::Select);
                 runSerial(TraceEvent::Phase::Merge, phases_.mergeSeconds,
                           merge, on_error);
-            }
-            barrier_.wait();
+                openRound(assemble, on_error);
+            });
         }
     }
 
@@ -352,7 +295,6 @@ class RoundEngine
     std::vector<model::CacheModel> caches_;
     support::Timer timer_;
     support::Timer phaseClock_; //!< open parallel span (serialized access)
-    PhaseFusion fusion_ = PhaseFusion::Fused;
     PhaseProfile phases_;
     std::vector<TraceEvent> trace_;
     double traceNow_ = 0;          //!< trace timeline cursor (seconds)

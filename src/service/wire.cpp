@@ -1,9 +1,10 @@
 #include "service/wire.h"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+
+#include "runtime/report_io.h"
 
 namespace galois::service::wire {
 
@@ -356,30 +357,7 @@ parse(const std::string& text, std::string& err)
 std::string
 quote(const std::string& s)
 {
-    std::string out;
-    out.reserve(s.size() + 2);
-    out += '"';
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-    return out;
+    return '"' + runtime::jsonEscape(s) + '"';
 }
 
 } // namespace galois::service::wire

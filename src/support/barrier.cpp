@@ -5,35 +5,6 @@
 namespace galois::support {
 
 void
-Barrier::wait()
-{
-    DETMC_READ(&sense_, "barrier.sense.read");
-    const std::uint32_t my_sense = sense_.load(std::memory_order_acquire);
-    DETMC_RMW(&remaining_, "barrier.remaining.dec");
-    if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        if (DETMC_BUG("barrier.early-sense")) {
-            // Seeded protocol bug (model checker only): publish the
-            // sense before resetting the count. A released waiter can
-            // re-enter the next epoch and decrement the stale count,
-            // which the late reset then clobbers — deadlock downstream.
-            DETMC_WRITE(&sense_, "barrier.sense.flip");
-            sense_.store(my_sense + 1, std::memory_order_release);
-            DETMC_WRITE(&remaining_, "barrier.remaining.reset");
-            remaining_.store(participants_, std::memory_order_relaxed);
-            return;
-        }
-        // Last arrival: reset the count and flip the sense to release
-        // everyone spinning on it.
-        DETMC_WRITE(&remaining_, "barrier.remaining.reset");
-        remaining_.store(participants_, std::memory_order_relaxed);
-        DETMC_WRITE(&sense_, "barrier.sense.flip");
-        sense_.store(my_sense + 1, std::memory_order_release);
-        return;
-    }
-    spinUntilFlipped(my_sense);
-}
-
-void
 Barrier::spinUntilFlipped(std::uint32_t my_sense) const
 {
 #if defined(DETGALOIS_DETMC)

@@ -2,16 +2,19 @@
  * @file
  * Sense-reversing centralized barrier.
  *
- * The deterministic DIG scheduler is bulk-synchronous: under the default
- * fused protocol (runtime/round_engine.h) every round has two rendezvous —
- * one closing inspect, whose completion section runs the mark fold, and
- * one closing select-and-execute, whose completion section runs merge and
- * assembles the next window; the unfused A/B placement has five. The
- * barrier therefore sits directly on the critical path of deterministic
- * execution and is implemented as a spin-then-yield sense-reversing
- * barrier: cheap when threads arrive together (the common case for
- * balanced rounds) and friendly to oversubscribed runs (it yields after a
- * bounded spin).
+ * The deterministic DIG scheduler is bulk-synchronous: every round of
+ * its protocol (runtime/round_engine.h) has two rendezvous — one closing
+ * inspect, whose completion section runs the mark fold, and one closing
+ * select-and-execute, whose completion section runs merge and assembles
+ * the next window. The barrier therefore sits directly on the critical
+ * path of deterministic execution and is implemented as a
+ * spin-then-yield sense-reversing barrier: cheap when threads arrive
+ * together (the common case for balanced rounds) and friendly to
+ * oversubscribed runs (it yields after a bounded spin).
+ *
+ * The protocol lives in one body, the completion-bearing wait(); the
+ * plain wait() (CoreDet's quantum rendezvous) is that body with an empty
+ * completion, so the detmc round-fused model certifies both.
  */
 
 #ifndef DETGALOIS_SUPPORT_BARRIER_H
@@ -54,14 +57,12 @@ class Barrier
     /** Number of participating threads. */
     unsigned participants() const { return participants_; }
 
-    /**
-     * Block until all participants arrive.
-     *
-     * Each thread keeps a thread-local sense; we avoid that by reading the
-     * global sense before decrementing, which is safe for a centralized
-     * sense-reversing barrier.
-     */
-    void wait();
+    /** Block until all participants arrive (an empty completion). */
+    void
+    wait()
+    {
+        wait([] {});
+    }
 
     /**
      * Barrier with a serial completion section: the last-arriving thread
@@ -81,6 +82,11 @@ class Barrier
      * Memory ordering: writes made inside `completion` happen-before the
      * release of the sense word, so peers observe them after wait()
      * returns without any extra synchronization.
+     *
+     * Sense reversal without a thread-local sense: each arrival reads
+     * the global sense before decrementing the count, which is safe for
+     * a centralized barrier — the sense cannot flip until this thread's
+     * own decrement has landed.
      */
     template <typename Fn>
     void

@@ -141,7 +141,7 @@ TEST(Context, SerialModeNeverThrowsOrMarks)
     Lockable l;
     f.begin(UserContext<int>::Mode::Serial, nullptr);
     EXPECT_NO_THROW(f.ctx.acquire(l));
-    EXPECT_NO_THROW(f.ctx.cautiousPoint());
+    EXPECT_FALSE(f.ctx.tryCautiousPoint());
     EXPECT_EQ(l.owner(), nullptr);
 }
 
@@ -269,20 +269,6 @@ TEST(Context, DetCommitAcquireIsNoOp)
     EXPECT_NO_THROW(f.ctx.acquire(l));
     EXPECT_EQ(l.owner(), nullptr);
     EXPECT_EQ(f.stats.atomicOps, 0u);
-}
-
-TEST(Context, InspectUnwindsAtCautiousPoint)
-{
-    DetRecordBase r;
-    r.id = 3;
-    std::vector<Lockable*> lane;
-    Fixture f;
-    f.ctx.beginInspect(&r, &lane, nullptr, nullptr);
-    EXPECT_THROW(f.ctx.cautiousPoint(), FailsafeSignal);
-
-    Fixture fe;
-    fe.begin(UserContext<int>::Mode::DetInspectEager, &r);
-    EXPECT_THROW(fe.ctx.cautiousPoint(), FailsafeSignal);
 }
 
 TEST(Context, TryCautiousPointReturnsTrueOnlyDuringInspect)

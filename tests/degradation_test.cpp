@@ -48,7 +48,8 @@ runCells(Exec exec, unsigned threads)
             const std::size_t b = (std::size_t(i) * 7 + 3) % kCells;
             ctx.acquire(locks[a]);
             ctx.acquire(locks[b]);
-            ctx.cautiousPoint();
+            if (ctx.tryCautiousPoint())
+                return;
             values[a] = values[a] * 3 + i + 1;
             values[b] = values[b] * 5 + 2 * (i + 1);
         },
@@ -112,7 +113,8 @@ TEST(Degradation, WatchdogTripsIdenticallyOnDegradedPool)
                 [&](std::uint32_t& i,
                     galois::Context<std::uint32_t>& ctx) {
                     ctx.acquire(locks[i % 4]);
-                    ctx.cautiousPoint();
+                    if (ctx.tryCautiousPoint())
+                        return;
                     ctx.acquire(locks[(i + 1) % 4]); // NOT cautious
                 },
                 cfg);

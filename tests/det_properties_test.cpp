@@ -76,7 +76,8 @@ class FuzzWorkload
                 cells[i] = rng.nextBounded(values_.size());
             for (unsigned i = 0; i < nbhd; ++i)
                 ctx.acquire(locks_[cells[i]]);
-            ctx.cautiousPoint();
+            if (ctx.tryCautiousPoint())
+                return;
             for (unsigned i = 0; i < nbhd; ++i) {
                 values_[cells[i]] =
                     values_[cells[i]] * 31 +

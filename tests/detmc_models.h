@@ -4,17 +4,15 @@
  * concurrency kernel's protocols (see DESIGN.md §15 and
  * src/analysis/detmc.h).
  *
- * Five drivers, shared between the gtest suite (detmc_test.cpp) and
+ * Four drivers, shared between the gtest suite (detmc_test.cpp) and
  * the CLI (detmc_models_main.cpp):
  *
- *   round-fused     the real RoundEngine::roundLoop() under Fused
- *                   placement (two rendezvous per round) on 2 vthreads
- *   round-unfused   the same protocol under Unfused placement (five
- *                   rendezvous per round)
- *                   — both check §13 quiescence-equivalence: every
- *                   serial section observes the same state digest as
- *                   the serial reference execution, under *every*
- *                   schedule of *either* barrier placement
+ *   round-fused     the real RoundEngine::roundLoop() (two rendezvous
+ *                   per round, serial steps in barrier completion
+ *                   sections) on 2 vthreads — checks §13 quiescence-
+ *                   equivalence: every serial section observes the same
+ *                   state digest as the serial reference execution,
+ *                   under *every* schedule
  *   mark-min        eager CAS-racing markMin against the serial
  *                   claimMarkFold over the same claim set on 3
  *                   vthreads — the §14 min-id-wins theorem: both
@@ -72,7 +70,7 @@ fnv(std::uint64_t h, std::uint64_t v)
 }
 
 // ---------------------------------------------------------------------
-// Drivers (a): the round protocol, fused and unfused.
+// Driver (a): the round protocol.
 // ---------------------------------------------------------------------
 
 /**
@@ -84,9 +82,8 @@ fnv(std::uint64_t h, std::uint64_t v)
  * model small without weakening the §13 claim).
  *
  * Every serial section (assemble / fold / merge), which roundLoop runs
- * either as a barrier completion (fused) or between dedicated barriers
- * (unfused), appends a digest of the full shared state to `log`. The
- * §13 theorem says those digests are schedule- and placement-
+ * as a barrier completion, appends a digest of the full shared state
+ * to `log`. The §13 theorem says those digests are schedule-
  * independent; check() compares them against a serial reference.
  */
 struct RoundState
@@ -94,15 +91,6 @@ struct RoundState
     static constexpr unsigned kTasks = 4;
     static constexpr unsigned kWindow = 2;
     static constexpr unsigned kLocs = 3;
-
-    /**
-     * Tasks actually played this run (id-prefix of 1..kTasks). The
-     * fused variant runs all four (two rounds); the unfused variant —
-     * five rendezvous per round instead of two — runs one round to
-     * keep its exhaustive exploration inside the suite budget. One
-     * unfused round still re-arrives the same barrier six times.
-     */
-    unsigned numTasks = kTasks;
 
     std::unique_ptr<galois::runtime::RoundEngine> eng;
     std::array<galois::runtime::DetRecordBase, kTasks> rec;
@@ -141,11 +129,10 @@ struct RoundState
 
 /** Serial reference: the §13-predicted digest log and commit order. */
 inline void
-roundReference(unsigned numTasks, std::vector<std::uint64_t>& log,
+roundReference(std::vector<std::uint64_t>& log,
                std::vector<unsigned>& committed)
 {
     RoundState ref; // hooks are inert off-vthread, so this is plain code
-    ref.numTasks = numTasks;
     for (unsigned i = 0; i < RoundState::kTasks; ++i)
         ref.rec[i].id = i + 1;
     auto serialStep = [&](auto&& fn) {
@@ -155,7 +142,7 @@ roundReference(unsigned numTasks, std::vector<std::uint64_t>& log,
     bool active = true;
     unsigned nextRound = 0;
     auto assemble = [&] {
-        if (nextRound * RoundState::kWindow >= ref.numTasks) {
+        if (nextRound * RoundState::kWindow >= RoundState::kTasks) {
             active = false;
             return;
         }
@@ -196,18 +183,15 @@ roundReference(unsigned numTasks, std::vector<std::uint64_t>& log,
 
 /** Driver (a): the real roundLoop on 2 vthreads. */
 inline detmc::ModelSpec
-roundModel(galois::runtime::PhaseFusion fusion)
+roundModel()
 {
     auto st = std::make_shared<RoundState>();
-    const bool fused = fusion == galois::runtime::PhaseFusion::Fused;
-    st->numTasks = fused ? RoundState::kTasks : RoundState::kWindow;
     detmc::ModelSpec spec;
-    spec.name = fused ? "round-fused" : "round-unfused";
+    spec.name = "round-fused";
     spec.nthreads = 2;
-    spec.setup = [st, fusion] {
+    spec.setup = [st] {
         st->eng = std::make_unique<galois::runtime::RoundEngine>(
             2, /*use_cache=*/false);
-        st->eng->setFusion(fusion);
         for (auto& r : st->rec)
             r.notSelected.store(false);
         for (unsigned i = 0; i < RoundState::kTasks; ++i)
@@ -223,7 +207,7 @@ roundModel(galois::runtime::PhaseFusion fusion)
     };
     spec.body = [st](unsigned tid) {
         auto assemble = [st] {
-            if (st->round * RoundState::kWindow >= st->numTasks) {
+            if (st->round * RoundState::kWindow >= RoundState::kTasks) {
                 st->log.push_back(st->digest());
                 return false;
             }
@@ -280,7 +264,7 @@ roundModel(galois::runtime::PhaseFusion fusion)
     spec.check = [st] {
         std::vector<std::uint64_t> wantLog;
         std::vector<unsigned> wantCommitted;
-        roundReference(st->numTasks, wantLog, wantCommitted);
+        roundReference(wantLog, wantCommitted);
         if (st->committed != wantCommitted)
             throw detmc::CheckFailure(
                 "round: committed set diverged from the serial "
@@ -629,24 +613,11 @@ struct NamedModel
     const char* bug;
 };
 
-inline detmc::ModelSpec
-makeRoundFused()
-{
-    return roundModel(galois::runtime::PhaseFusion::Fused);
-}
-
-inline detmc::ModelSpec
-makeRoundUnfused()
-{
-    return roundModel(galois::runtime::PhaseFusion::Unfused);
-}
-
-inline const std::array<NamedModel, 5>&
+inline const std::array<NamedModel, 4>&
 allModels()
 {
-    static const std::array<NamedModel, 5> models = {{
-        {"round-fused", &makeRoundFused, "barrier.early-sense"},
-        {"round-unfused", &makeRoundUnfused, "barrier.early-sense"},
+    static const std::array<NamedModel, 4> models = {{
+        {"round-fused", &roundModel, "barrier.early-sense"},
         {"mark-min", &markModel, "lockable.markmin-tear"},
         {"mark-release", &releaseModel, "lockable.release-unowned"},
         {"worklist", &worklistModel, "termination.weak-retire"},

@@ -78,7 +78,8 @@ struct CellWorkload
             const std::size_t b = (std::size_t(i) * 7 + 3) % values.size();
             ctx.acquire(locks[a]);
             ctx.acquire(locks[b]);
-            ctx.cautiousPoint();
+            if (ctx.tryCautiousPoint())
+                return;
             values[a] = values[a] * 3 + i + 1;
             values[b] = values[b] * 5 + 2 * (i + 1);
             if (i < spawnLimit)
@@ -209,7 +210,8 @@ TEST_F(DetResEdge, WatchdogFiresDeterministically)
                 [&](std::uint32_t& i,
                     galois::Context<std::uint32_t>& ctx) {
                     ctx.acquire(locks[i % 4]);
-                    ctx.cautiousPoint();
+                    if (ctx.tryCautiousPoint())
+                        return;
                     ctx.acquire(locks[(i + 1) % 4]); // NOT cautious
                 },
                 cfg);

@@ -14,7 +14,7 @@
  *  - a deliberately racy operator (write without a matching acquire) is
  *    caught at the right source site;
  *  - a non-cautious operator (acquire after the first write, and acquire
- *    after cautiousPoint()) is caught;
+ *    after tryCautiousPoint()) is caught;
  *  - the structured report is deterministic: byte-identical across
  *    1/2/4/8 threads under the deterministic executor;
  *  - the per-round trace digest is thread-count invariant (portability
@@ -119,7 +119,8 @@ TEST_F(DetSanTest, CleanCautiousOperatorReportsNothing)
         ctx.acquire(a.lock);
         ctx.acquire(b.lock);
         EXPECT_TRUE(detsan::taskHolds(&a.lock));
-        ctx.cautiousPoint();
+        if (ctx.tryCautiousPoint())
+            return;
         DETSAN_WRITE(a.lock);
         a.value += 1;
         DETSAN_WRITE(b.lock);
@@ -144,7 +145,8 @@ TEST_F(DetSanTest, UnmarkedWriteCaughtAtTheRightSite)
         Cell& own = cells_[static_cast<std::size_t>(i)];
         Cell& other = cells_[static_cast<std::size_t>(i) + kTasks];
         ctx.acquire(own.lock);
-        ctx.cautiousPoint();
+        if (ctx.tryCautiousPoint())
+            return;
         DETSAN_WRITE(own.lock); // marked: legal
         own.value += 1;
         // The bug under test: `other` was never acquired. (Only the
@@ -171,7 +173,8 @@ TEST_F(DetSanTest, UnmarkedWriteReportIdenticalAcrossThreadCounts)
         Cell& own = cells_[static_cast<std::size_t>(i)];
         Cell& other = cells_[static_cast<std::size_t>(i) + kTasks];
         ctx.acquire(own.lock);
-        ctx.cautiousPoint();
+        if (ctx.tryCautiousPoint())
+            return;
         DETSAN_WRITE(own.lock);
         own.value += 1;
         DETSAN_WRITE(other.lock); // never acquired
@@ -212,7 +215,8 @@ TEST_F(DetSanTest, AcquireAfterWriteCaught)
         DETSAN_WRITE(own.lock); // first write...
         own.value += 1;
         ctx.acquire(late.lock); // ...then another acquire: not cautious
-        ctx.cautiousPoint();
+        if (ctx.tryCautiousPoint())
+            return;
     };
 
     run(galois::Exec::Serial, 1, nonCautious);
@@ -233,7 +237,8 @@ TEST_F(DetSanTest, AcquireAfterFailsafeCaught)
         Cell& own = cells_[static_cast<std::size_t>(i)];
         Cell& late = cells_[static_cast<std::size_t>(i) + kTasks];
         ctx.acquire(own.lock);
-        ctx.cautiousPoint();
+        if (ctx.tryCautiousPoint())
+            return;
         ctx.acquire(late.lock); // after the declared failsafe point
         DETSAN_WRITE(own.lock);
         own.value += 1;
@@ -261,7 +266,8 @@ TEST_F(DetSanTest, TraceDigestThreadCountInvariantUnderDet)
         Cell& b = cells_[static_cast<std::size_t>(i + 1)];
         ctx.acquire(a.lock);
         ctx.acquire(b.lock);
-        ctx.cautiousPoint();
+        if (ctx.tryCautiousPoint())
+            return;
         DETSAN_WRITE(a.lock);
         a.value += 1;
         DETSAN_WRITE(b.lock);

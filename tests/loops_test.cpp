@@ -132,7 +132,8 @@ TEST_P(ExecutorFailureInjection, UserExceptionPropagatesAndPoolSurvives)
             init,
             [&](int& i, Context<int>& ctx) {
                 ctx.acquire(locks[i % 8]);
-                ctx.cautiousPoint();
+                if (ctx.tryCautiousPoint())
+                    return;
                 if (i == 57)
                     throw AppError();
             },
@@ -145,7 +146,8 @@ TEST_P(ExecutorFailureInjection, UserExceptionPropagatesAndPoolSurvives)
         init,
         [&](int& i, Context<int>& ctx) {
             ctx.acquire(locks[i % 8]);
-            ctx.cautiousPoint();
+            if (ctx.tryCautiousPoint())
+                return;
             done.fetch_add(1);
         },
         cfg);

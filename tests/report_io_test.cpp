@@ -4,7 +4,9 @@
  * BENCH_results.json structure, chrome://tracing dump structure, JSON
  * string escaping, and the cost model of the Config::traceRounds knob —
  * off (the default) must leave RunReport::traceEvents empty, on must
- * produce a well-formed phase timeline.
+ * produce a well-formed phase timeline. Also the bench harness's run
+ * recorder (bench/harness.h), which collapses reps into the records
+ * those emitters write.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "galois/galois.h"
+#include "harness.h"
 #include "runtime/report_io.h"
 
 using namespace galois;
@@ -42,7 +45,8 @@ struct Workload
         return [this](int& v, Context<int>& ctx) {
             ctx.acquire(locks[v % 64]);
             ctx.acquire(locks[(v * 7 + 3) % 64]);
-            ctx.cautiousPoint();
+            if (ctx.tryCautiousPoint())
+                return;
             cells[v % 64] += v;
         };
     }
@@ -237,6 +241,42 @@ TEST(BenchJson, RecordCarriesScheduleAndPhases)
     // One [window, attempted, committed] triple per round.
     EXPECT_EQ(countOf(json.substr(json.find("window_trajectory")), "["),
               1 + r.rounds);
+}
+
+TEST(BenchHarness, RecordTakesEveryFieldFromTheFastestRep)
+{
+    // Three reps with distinct times and breakdowns; the fastest is
+    // neither the first nor the last. min_s is its time, so phases,
+    // counters and the window trajectory must be its too — otherwise
+    // the headline and its breakdown describe different runs.
+    auto rep = [](double seconds, double inspect, std::uint64_t rounds) {
+        RunReport r;
+        r.seconds = seconds;
+        r.phases.inspectSeconds = inspect;
+        r.phases.mergeSeconds = inspect / 10;
+        r.rounds = rounds;
+        r.committed = rounds * 100;
+        r.traceDigest = rounds * 7919;
+        r.roundTrace.assign(rounds, RoundSample{rounds, rounds, rounds});
+        return r;
+    };
+    bench::recordRun("toy", "det", 2, rep(0.30, 0.03, 3));
+    bench::recordRun("toy", "det", 2, rep(0.10, 0.01, 1));
+    bench::recordRun("toy", "det", 2, rep(0.20, 0.02, 2));
+
+    const std::vector<runtime::BenchRecord> records =
+        bench::collectBenchRecords();
+    ASSERT_EQ(records.size(), 1u);
+    const runtime::BenchRecord& r = records.front();
+    EXPECT_EQ(r.reps, 3);
+    EXPECT_DOUBLE_EQ(r.minSeconds, 0.10);
+    EXPECT_DOUBLE_EQ(r.medianSeconds, 0.20);
+    EXPECT_DOUBLE_EQ(r.phases.inspectSeconds, 0.01);
+    EXPECT_DOUBLE_EQ(r.phases.mergeSeconds, 0.001);
+    EXPECT_EQ(r.rounds, 1u);
+    EXPECT_EQ(r.committed, 100u);
+    EXPECT_EQ(r.traceDigest, 7919u);
+    EXPECT_EQ(r.windowTrajectory.size(), 1u);
 }
 
 TEST(BenchJson, DocumentStructure)

@@ -90,7 +90,8 @@ struct CellWorkload
             const std::size_t b = (std::size_t(i) * 7 + 3) % values.size();
             ctx.acquire(locks[a]);
             ctx.acquire(locks[b]);
-            ctx.cautiousPoint();
+            if (ctx.tryCautiousPoint())
+                return;
             values[a] = values[a] * 3 + i + 1;
             values[b] = values[b] * 5 + 2 * (i + 1);
             if (i < spawnLimit)
@@ -144,7 +145,8 @@ struct DisjointWorkload
     {
         return [this](std::uint32_t& i, galois::Context<std::uint32_t>& ctx) {
             ctx.acquire(locks[i]);
-            ctx.cautiousPoint();
+            if (ctx.tryCautiousPoint())
+                return;
             values[i] = static_cast<std::int64_t>(i) + 1;
         };
     }
@@ -496,7 +498,8 @@ TEST_F(ResilienceTest, WatchdogDetectsNonCautiousOperator)
                 init,
                 [&](std::uint32_t& i, galois::Context<std::uint32_t>& ctx) {
                     ctx.acquire(locks[i % 8]);
-                    ctx.cautiousPoint();
+                    if (ctx.tryCautiousPoint())
+                        return;
                     ctx.acquire(locks[(i + 1) % 8]); // NOT cautious
                 },
                 cfg);
@@ -571,7 +574,8 @@ TEST_F(ResilienceTest, AllAbortLivelockTripsAtSameRoundOnEveryThreadCount)
                 init,
                 [&](std::uint32_t& i, galois::Context<std::uint32_t>& ctx) {
                     ctx.acquire(locks[i % 4]);
-                    ctx.cautiousPoint();
+                    if (ctx.tryCautiousPoint())
+                        return;
                     ctx.acquire(locks[(i + 1) % 4]); // NOT cautious
                 },
                 cfg);
@@ -813,7 +817,8 @@ TEST_F(ResilienceTest, NonDetOperatorExceptionPropagates)
                     ctx.acquire(locks[b]);
                     if (i == kVictim)
                         throw std::runtime_error("task 777 exploded");
-                    ctx.cautiousPoint();
+                    if (ctx.tryCautiousPoint())
+                        return;
                     values[a] += i;
                     values[b] += 2 * i;
                 },
@@ -858,7 +863,8 @@ TEST_F(ResilienceTest, NonDetManyFaultsStillDrain)
                     ctx.acquire(locks[i % 8]);
                     if (i % 10 == 0)
                         throw std::runtime_error("unlucky");
-                    ctx.cautiousPoint();
+                    if (ctx.tryCautiousPoint())
+                        return;
                     values[i % 8] += i;
                 },
                 cfg),
