@@ -7,17 +7,17 @@
  * systems' overheads vary by 160%-250% with the task-size parameter and
  * that CoreDet/Kendo/Determinator provide no adaptive way to set it —
  * one of the motivations for DIG's parameterless window. This ablation
- * sweeps the DmpScheduler quantum on a coarse-grain kernel
- * (blackscholes) and a fine-grain one (nd-bfs) and reports the slowdown
- * vs plain execution: the best quantum differs by workload, and bad
- * choices are expensive.
+ * sweeps the quantum on a coarse-grain kernel (blackscholes on the
+ * DmpScheduler, against the RawScheduler) and a fine-grain one (the bfs
+ * operator under Exec::CoreDet with Config::coredet.quantum, against
+ * Exec::NonDet) and reports the slowdown vs plain execution: the best
+ * quantum differs by workload, and bad choices are expensive.
  */
 
 #include <cstdio>
 
 #include "apps/bfs.h"
 #include "coredet/coredet.h"
-#include "coredet/nd_apps.h"
 #include "graph/generators.h"
 #include "harness.h"
 #include "parsec/blackscholes.h"
@@ -48,14 +48,22 @@ main(int argc, char** argv)
             priceAll(sch, portfolio, 3, p);
         },
         s.reps);
-    const double bfs_plain = timeIt(
-        [&] {
-            coredet::RawScheduler sch(threads);
-            (void)coredet::ndBfs(sch, g, 0, threads);
-        },
-        s.reps);
+    // The bfs operator loop, timed by its own RunReport.
+    auto bfs_seconds = [&](Exec exec, std::uint64_t quantum) {
+        std::vector<double> xs;
+        for (int r = 0; r < s.reps; ++r) {
+            apps::bfs::reset(g);
+            Config cfg;
+            cfg.exec = exec;
+            cfg.threads = threads;
+            cfg.coredet.quantum = quantum;
+            xs.push_back(apps::bfs::galoisBfs(g, 0, cfg).seconds);
+        }
+        return median(std::move(xs));
+    };
+    const double bfs_plain = bfs_seconds(Exec::NonDet, /*unused*/ 0);
 
-    Table table({"quantum", "bs slowdown", "nd-bfs slowdown"});
+    Table table({"quantum", "bs slowdown", "g-bfs slowdown"});
     for (std::uint64_t quantum :
          {1000ULL, 10000ULL, 100000ULL, 1000000ULL}) {
         const double bs = timeIt(
@@ -65,12 +73,7 @@ main(int argc, char** argv)
                 priceAll(sch, portfolio, 3, p);
             },
             s.reps);
-        const double bfs = timeIt(
-            [&] {
-                coredet::DmpScheduler sch(threads, quantum);
-                (void)coredet::ndBfs(sch, g, 0, threads);
-            },
-            s.reps);
+        const double bfs = bfs_seconds(Exec::CoreDet, quantum);
         table.addRow({std::to_string(quantum), fmtX(bs / bs_plain),
                       fmtX(bfs / bfs_plain)});
     }

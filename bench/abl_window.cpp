@@ -6,10 +6,12 @@
  * Kendo, CoreDet, Determinator and some PBBS programs expose a round- or
  * task-size parameter that must be tuned per machine; DIG's window
  * adapts from commit ratios alone. This ablation reintroduces the knob:
- * each application runs under several fixed window sizes and under the
- * adaptive policy. Expected shape: the best fixed window differs per
- * application (so no single setting works), and the adaptive policy sits
- * close to each application's best fixed window without tuning.
+ * each application runs under several fixed window sizes W (Exec::DetRes
+ * with roundSize == initialPrefix == W, which admits exactly W tasks
+ * every round) and under the adaptive policy (Exec::Det). Expected
+ * shape: the best fixed window differs per application (so no single
+ * setting works), and the adaptive policy sits close to each
+ * application's best fixed window without tuning.
  */
 
 #include <cstdio>
@@ -17,7 +19,6 @@
 #include "apps_common.h"
 #include "harness.h"
 
-// The ablation needs the executor option directly.
 #include "apps/bfs.h"
 #include "apps/dmr.h"
 #include "apps/dt.h"
@@ -32,7 +33,7 @@ namespace {
 struct Workload
 {
     std::string name;
-    std::function<double(const DetOptions&)> run; //!< loop seconds
+    std::function<double(const Config&)> run; //!< loop seconds
 };
 
 } // namespace
@@ -58,44 +59,28 @@ main(int argc, char** argv)
         static_cast<std::size_t>(20000 * s.scale), 0xab3);
 
     std::vector<Workload> workloads;
-    workloads.push_back({"bfs", [&](const DetOptions& det) {
+    workloads.push_back({"bfs", [&](const Config& cfg) {
                              apps::bfs::reset(bfs_graph);
-                             Config cfg;
-                             cfg.exec = Exec::Det;
-                             cfg.threads = threads;
-                             cfg.det = det;
                              return apps::bfs::galoisBfs(bfs_graph, 0,
                                                          cfg)
                                  .seconds;
                          }});
-    workloads.push_back({"mis", [&](const DetOptions& det) {
+    workloads.push_back({"mis", [&](const Config& cfg) {
                              apps::mis::reset(mis_graph);
-                             Config cfg;
-                             cfg.exec = Exec::Det;
-                             cfg.threads = threads;
-                             cfg.det = det;
                              return apps::mis::galoisMis(mis_graph, cfg)
                                  .seconds;
                          }});
-    workloads.push_back({"dt", [&](const DetOptions& det) {
+    workloads.push_back({"dt", [&](const Config& cfg) {
                              apps::dt::Problem prob;
                              apps::dt::makeProblem(dt_points, 0xab4,
                                                    prob);
-                             Config cfg;
-                             cfg.exec = Exec::Det;
-                             cfg.threads = threads;
-                             cfg.det = det;
                              return apps::dt::triangulate(prob, cfg)
                                  .seconds;
                          }});
-    workloads.push_back({"dmr", [&](const DetOptions& det) {
+    workloads.push_back({"dmr", [&](const Config& cfg) {
                              apps::dmr::Problem prob;
                              apps::dmr::makeProblem(dmr_points, 0xab5,
                                                     prob);
-                             Config cfg;
-                             cfg.exec = Exec::Det;
-                             cfg.threads = threads;
-                             cfg.det = det;
                              return apps::dmr::refine(prob, cfg).seconds;
                          }});
 
@@ -111,13 +96,18 @@ main(int argc, char** argv)
         std::vector<std::string> row{w.name};
         double best_fixed = 1e300;
         for (std::uint64_t win : fixed) {
-            DetOptions det;
-            det.fixedWindow = win;
-            const double secs = timeIt([&] { (void)w.run(det); }, s.reps);
+            Config cfg;
+            cfg.exec = Exec::DetRes;
+            cfg.threads = threads;
+            cfg.detres.roundSize = win;
+            cfg.detres.initialPrefix = win;
+            const double secs = timeIt([&] { (void)w.run(cfg); }, s.reps);
             best_fixed = std::min(best_fixed, secs);
             row.push_back(fmt(secs));
         }
-        DetOptions adaptive;
+        Config adaptive;
+        adaptive.exec = Exec::Det;
+        adaptive.threads = threads;
         const double secs =
             timeIt([&] { (void)w.run(adaptive); }, s.reps);
         row.push_back(fmt(secs));

@@ -1,16 +1,20 @@
 /**
  * @file
  * Figure 6: determinism by thread scheduling (CoreDet-style) on PARSEC
- * kernels and the non-deterministic PBBS programs.
+ * kernels and the PBBS programs.
  *
- * Each program runs under the RawScheduler ("without CoreDet") and under
- * the quantum/serial-mode DmpScheduler ("with CoreDet"); the table shows
- * the slowdown of deterministic thread scheduling at each thread count.
- * Paper shape: blackscholes is barely affected; bodytrack/freqmine show
- * limited impact; the irregular nd-PBBS programs (bfs, dmr, dt) slow
- * down massively (median 3.7X, max 55X across the suite) because each of
- * their fine-grain synchronizations costs a full deterministic round —
- * only the data-parallel mis survives.
+ * Each program runs without and with deterministic thread scheduling;
+ * the table shows the slowdown (t_coredet / t_plain) at each thread
+ * count. The PARSEC kernels and the data-parallel nd-mis run on the
+ * RawScheduler ("without CoreDet") and the quantum/serial-mode
+ * DmpScheduler ("with CoreDet"). The irregular programs are the apps'
+ * own operators (g-bfs, g-dmr, g-dt) under Exec::NonDet ("without") and
+ * Exec::CoreDet ("with"), which serializes every mark acquisition
+ * through the same DMP token. Paper shape: blackscholes is barely
+ * affected; bodytrack/freqmine show limited impact; the irregular
+ * programs slow down massively (median 3.7X, max 55X across the suite)
+ * because each of their fine-grain synchronizations costs a full
+ * deterministic round — only the data-parallel mis survives.
  */
 
 #include <cstdio>
@@ -39,23 +43,52 @@ constexpr std::uint64_t kQuantum = 50000;
 struct Program
 {
     std::string name;
-    /** Run under a scheduler; templated via two std::functions. */
-    std::function<void(coredet::RawScheduler&)> raw;
-    std::function<void(coredet::DmpScheduler&)> dmp;
+    /** Seconds of one run on `threads` threads, with deterministic
+     *  scheduling when `det` is set. */
+    std::function<double(unsigned threads, bool det)> run;
 };
 
-template <typename Fn>
+/** A kernel templated over the scheduler policy, timed whole
+ *  (scheduler construction included) on RawScheduler or DmpScheduler. */
+template <typename Kernel>
+Program
+scheduled(std::string name, Kernel kernel)
+{
+    return {std::move(name), [kernel](unsigned threads, bool det) {
+                support::Timer t;
+                t.start();
+                if (det) {
+                    coredet::DmpScheduler sch(threads, kQuantum);
+                    kernel(sch);
+                } else {
+                    coredet::RawScheduler sch(threads);
+                    kernel(sch);
+                }
+                t.stop();
+                return t.seconds();
+            }};
+}
+
+/** An app's operator loop under Exec::NonDet or Exec::CoreDet, timed by
+ *  the loop's own RunReport (input construction excluded). */
+Program
+onBackends(std::string name, std::function<RunReport(const Config&)> app)
+{
+    return {std::move(name), [app](unsigned threads, bool det) {
+                Config cfg;
+                cfg.exec = det ? Exec::CoreDet : Exec::NonDet;
+                cfg.threads = threads;
+                cfg.coredet.quantum = kQuantum;
+                return app(cfg).seconds;
+            }};
+}
+
 double
-timeScheduled(Fn&& fn, int reps)
+medianSeconds(const Program& prog, unsigned threads, bool det, int reps)
 {
     std::vector<double> xs;
-    for (int r = 0; r < reps; ++r) {
-        support::Timer t;
-        t.start();
-        fn();
-        t.stop();
-        xs.push_back(t.seconds());
-    }
+    for (int r = 0; r < reps; ++r)
+        xs.push_back(prog.run(threads, det));
     return median(std::move(xs));
 }
 
@@ -94,74 +127,33 @@ main(int argc, char** argv)
         static_cast<std::size_t>(1000 * s.scale);
 
     std::vector<Program> programs;
-    programs.push_back(
-        {"bs",
-         [&](coredet::RawScheduler& sch) {
-             std::vector<double> p;
-             priceAll(sch, bs_portfolio, 3, p);
-         },
-         [&](coredet::DmpScheduler& sch) {
-             std::vector<double> p;
-             priceAll(sch, bs_portfolio, 3, p);
-         }});
-    programs.push_back(
-        {"bt",
-         [&](coredet::RawScheduler& sch) {
-             (void)trackBody(sch, bt_problem, bt_particles, 0xc6);
-         },
-         [&](coredet::DmpScheduler& sch) {
-             (void)trackBody(sch, bt_problem, bt_particles, 0xc6);
-         }});
-    programs.push_back(
-        {"fm",
-         [&](coredet::RawScheduler& sch) {
-             (void)mineFrequent(sch, fm_db, 10);
-         },
-         [&](coredet::DmpScheduler& sch) {
-             (void)mineFrequent(sch, fm_db, 10);
-         }});
-    programs.push_back(
-        {"nd-bfs",
-         [&](coredet::RawScheduler& sch) {
-             (void)coredet::ndBfs(sch, bfs_graph, 0, 0);
-         },
-         [&](coredet::DmpScheduler& sch) {
-             (void)coredet::ndBfs(sch, bfs_graph, 0, 0);
-         }});
-    programs.push_back(
-        {"nd-mis",
-         [&](coredet::RawScheduler& sch) {
-             (void)coredet::ndMis(sch, mis_graph, 0);
-         },
-         [&](coredet::DmpScheduler& sch) {
-             (void)coredet::ndMis(sch, mis_graph, 0);
-         }});
-    programs.push_back(
-        {"nd-dt",
-         [&](coredet::RawScheduler& sch) {
-             apps::dt::Problem prob;
-             apps::dt::makeProblem(
-                 apps::dt::randomPoints(dt_points, 0xc7), 0xc8, prob);
-             (void)coredet::ndTriangulate(sch, prob, 0);
-         },
-         [&](coredet::DmpScheduler& sch) {
-             apps::dt::Problem prob;
-             apps::dt::makeProblem(
-                 apps::dt::randomPoints(dt_points, 0xc7), 0xc8, prob);
-             (void)coredet::ndTriangulate(sch, prob, 0);
-         }});
-    programs.push_back(
-        {"nd-dmr",
-         [&](coredet::RawScheduler& sch) {
-             apps::dmr::Problem prob;
-             apps::dmr::makeProblem(dmr_points, 0xc9, prob);
-             (void)coredet::ndRefine(sch, prob, 0);
-         },
-         [&](coredet::DmpScheduler& sch) {
-             apps::dmr::Problem prob;
-             apps::dmr::makeProblem(dmr_points, 0xc9, prob);
-             (void)coredet::ndRefine(sch, prob, 0);
-         }});
+    programs.push_back(scheduled("bs", [&](auto& sch) {
+        std::vector<double> p;
+        priceAll(sch, bs_portfolio, 3, p);
+    }));
+    programs.push_back(scheduled("bt", [&](auto& sch) {
+        (void)trackBody(sch, bt_problem, bt_particles, 0xc6);
+    }));
+    programs.push_back(scheduled(
+        "fm", [&](auto& sch) { (void)mineFrequent(sch, fm_db, 10); }));
+    programs.push_back(onBackends("g-bfs", [&](const Config& cfg) {
+        apps::bfs::reset(bfs_graph);
+        return apps::bfs::galoisBfs(bfs_graph, 0, cfg);
+    }));
+    programs.push_back(scheduled("nd-mis", [&](auto& sch) {
+        (void)coredet::ndMis(sch, mis_graph);
+    }));
+    programs.push_back(onBackends("g-dt", [&](const Config& cfg) {
+        apps::dt::Problem prob;
+        apps::dt::makeProblem(apps::dt::randomPoints(dt_points, 0xc7), 0xc8,
+                              prob);
+        return apps::dt::triangulate(prob, cfg);
+    }));
+    programs.push_back(onBackends("g-dmr", [&](const Config& cfg) {
+        apps::dmr::Problem prob;
+        apps::dmr::makeProblem(dmr_points, 0xc9, prob);
+        return apps::dmr::refine(prob, cfg);
+    }));
 
     std::vector<std::string> headers{"program"};
     for (unsigned t : s.threads)
@@ -173,18 +165,8 @@ main(int argc, char** argv)
         std::vector<std::string> row{prog.name};
         double last = 0;
         for (unsigned t : s.threads) {
-            const double plain = timeScheduled(
-                [&] {
-                    coredet::RawScheduler sch(t);
-                    prog.raw(sch);
-                },
-                s.reps);
-            const double det = timeScheduled(
-                [&] {
-                    coredet::DmpScheduler sch(t, kQuantum);
-                    prog.dmp(sch);
-                },
-                s.reps);
+            const double plain = medianSeconds(prog, t, false, s.reps);
+            const double det = medianSeconds(prog, t, true, s.reps);
             last = det / plain;
             row.push_back(fmtX(last));
         }

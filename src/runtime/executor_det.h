@@ -182,14 +182,6 @@ struct DetOptions
     /** Number of interleave buckets for the locality spread. */
     std::uint64_t spreadBuckets = 61;
     /**
-     * Non-zero: disable the adaptive policy and use this fixed window
-     * size. Exists for the ablation study only — it reintroduces exactly
-     * the hand-tuned round-size parameter the paper's adaptive policy
-     * eliminates (output remains thread-count invariant, but now depends
-     * on a knob whose best value is machine- and input-specific).
-     */
-    std::uint64_t fixedWindow = 0;
-    /**
      * Progress watchdog: fail the run with a LivelockError after this
      * many *consecutive* rounds that committed zero tasks (0 disables).
      * A correct cautious operator commits at least one task per round
@@ -268,7 +260,6 @@ struct DetOptions
         w.commitTarget = commitTarget;
         w.minWindow = minWindow;
         w.initialWindow = initialWindow;
-        w.fixedWindow = fixedWindow;
         return w;
     }
 };

@@ -52,8 +52,6 @@ struct WindowConfig
     std::uint64_t minWindow = 16;
     /** First window of the run (0: defaults to 4*minWindow). */
     std::uint64_t initialWindow = 0;
-    /** Non-zero: fixed window, adaptivity off (ablation only). */
-    std::uint64_t fixedWindow = 0;
 };
 
 /**
@@ -83,20 +81,18 @@ class WindowPolicy
     explicit WindowPolicy(const WindowConfig& cfg) : cfg_(cfg) {}
 
     /**
-     * Start a generation: pin the fixed window (ablation mode) or, on
-     * the very first generation, seed the adaptive start size. The
-     * default start is deliberately small (4*minWindow): the adaptive
-     * policy doubles its way up in a handful of rounds when tasks are
-     * independent, while a large initial window is disastrous for
-     * dependence-heavy starts (e.g. Delaunay insertion, where early
-     * tasks all conflict on the root bucket).
+     * Start a generation: on the very first generation, seed the
+     * adaptive start size. The default start is deliberately small
+     * (4*minWindow): the adaptive policy doubles its way up in a
+     * handful of rounds when tasks are independent, while a large
+     * initial window is disastrous for dependence-heavy starts (e.g.
+     * Delaunay insertion, where early tasks all conflict on the root
+     * bucket).
      */
     void
     beginGeneration()
     {
-        if (cfg_.fixedWindow != 0)
-            window_ = cfg_.fixedWindow;
-        else if (window_ == 0)
+        if (window_ == 0)
             window_ = cfg_.initialWindow != 0 ? cfg_.initialWindow
                                               : 4 * cfg_.minWindow;
     }
@@ -113,10 +109,6 @@ class WindowPolicy
     void
     update(std::uint64_t attempted, std::uint64_t committed)
     {
-        if (cfg_.fixedWindow != 0) {
-            window_ = cfg_.fixedWindow;
-            return;
-        }
         const double ratio = attempted == 0
                                  ? 1.0
                                  : static_cast<double>(committed) /
@@ -143,7 +135,10 @@ class WindowPolicy
  * these values and the input alone — never of the thread count. Unlike
  * DetOptions, roundSize is a genuine hand-tuned parameter (the PBBS
  * round size); changing it changes the schedule (and the DetRes digest)
- * but never the final state.
+ * but never the final state. initialPrefix == roundSize admits exactly
+ * roundSize tasks every round: the hand-tuned fixed window that the
+ * window-policy ablation (bench/abl_window.cpp) sets against the
+ * adaptive window.
  */
 struct DetResOptions
 {

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the CoreDet-style deterministic thread scheduler and the
- * instrumented non-deterministic PBBS programs that run on it.
+ * Tests for the CoreDet-style deterministic thread scheduler, the
+ * instrumented data-parallel mis that runs on it, and the apps' own
+ * operators under Exec::CoreDet (the programs of Figure 6).
  */
 
 #include <gtest/gtest.h>
@@ -96,22 +97,9 @@ TEST(DmpScheduler, CountsRoundsAndSyncs)
 }
 
 // ---------------------------------------------------------------------
-// Instrumented nd-PBBS programs
+// Figure 6's programs: the data-parallel nd-mis under both schedulers,
+// and the apps' own irregular operators under Exec::CoreDet
 // ---------------------------------------------------------------------
-
-TEST(NdApps, BfsMatchesReferenceUnderBothSchedulers)
-{
-    auto edges = graph::randomKOut(800, 5, 91, true);
-    apps::bfs::Graph g(800, edges);
-    const auto expect = apps::bfs::serialBfs(g, 0);
-
-    RawScheduler raw(4);
-    EXPECT_EQ(coredet::ndBfs(raw, g, 0, 4), expect);
-
-    DmpScheduler dmp(4, 2000);
-    EXPECT_EQ(coredet::ndBfs(dmp, g, 0, 4), expect);
-    EXPECT_GT(dmp.stats().syncOps, 800u); // sync-heavy, as the paper says
-}
 
 TEST(NdApps, MisIsValidUnderBothSchedulers)
 {
@@ -126,45 +114,48 @@ TEST(NdApps, MisIsValidUnderBothSchedulers)
     };
 
     RawScheduler raw(4);
-    EXPECT_TRUE(validate(coredet::ndMis(raw, g, 4)));
+    EXPECT_TRUE(validate(coredet::ndMis(raw, g)));
     DmpScheduler dmp(4, 2000);
-    EXPECT_TRUE(validate(coredet::ndMis(dmp, g, 4)));
+    EXPECT_TRUE(validate(coredet::ndMis(dmp, g)));
 }
 
-TEST(NdApps, RefineWorksUnderBothSchedulers)
+namespace {
+
+Config
+coreDetConfig(unsigned threads, std::uint64_t quantum)
 {
-    {
-        apps::dmr::Problem prob;
-        apps::dmr::makeProblem(120, 93, prob);
-        RawScheduler raw(4);
-        coredet::ndRefine(raw, prob, 4);
-        EXPECT_TRUE(apps::dmr::validate(prob));
-    }
-    {
-        apps::dmr::Problem prob;
-        apps::dmr::makeProblem(120, 93, prob);
-        DmpScheduler dmp(2, 5000);
-        coredet::ndRefine(dmp, prob, 2);
-        EXPECT_TRUE(apps::dmr::validate(prob));
-    }
+    Config cfg;
+    cfg.exec = Exec::CoreDet;
+    cfg.threads = threads;
+    cfg.coredet.quantum = quantum;
+    return cfg;
 }
 
-TEST(NdApps, TriangulateWorksUnderBothSchedulers)
+} // namespace
+
+TEST(CoreDetApps, BfsMatchesReference)
 {
-    {
-        apps::dt::Problem prob;
-        apps::dt::makeProblem(apps::dt::randomPoints(200, 94), 95, prob);
-        RawScheduler raw(4);
-        EXPECT_EQ(coredet::ndTriangulate(raw, prob, 4), 200u);
-        EXPECT_TRUE(apps::dt::validate(prob));
-    }
-    {
-        apps::dt::Problem prob;
-        apps::dt::makeProblem(apps::dt::randomPoints(200, 94), 95, prob);
-        DmpScheduler dmp(2, 5000);
-        EXPECT_EQ(coredet::ndTriangulate(dmp, prob, 2), 200u);
-        EXPECT_TRUE(apps::dt::validate(prob));
-    }
+    auto edges = graph::randomKOut(800, 5, 91, true);
+    apps::bfs::Graph g(800, edges);
+    const auto r = apps::bfs::galoisBfs(g, 0, coreDetConfig(4, 2000));
+    EXPECT_GT(r.rounds, 0u);
+    EXPECT_EQ(apps::bfs::distances(g), apps::bfs::serialBfs(g, 0));
+}
+
+TEST(CoreDetApps, RefineValidates)
+{
+    apps::dmr::Problem prob;
+    apps::dmr::makeProblem(120, 93, prob);
+    apps::dmr::refine(prob, coreDetConfig(2, 5000));
+    EXPECT_TRUE(apps::dmr::validate(prob));
+}
+
+TEST(CoreDetApps, TriangulateValidates)
+{
+    apps::dt::Problem prob;
+    apps::dt::makeProblem(apps::dt::randomPoints(200, 94), 95, prob);
+    apps::dt::triangulate(prob, coreDetConfig(2, 5000));
+    EXPECT_TRUE(apps::dt::validate(prob));
 }
 
 TEST(DmpScheduler, SingleThreadTeamIsJustSerial)

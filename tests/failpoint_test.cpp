@@ -194,9 +194,10 @@ TEST_F(FailpointTest, ParseErrorsAreOneLineDiagnostics)
         EXPECT_NE(err.find("\"" + std::string(spec) + "\""),
                   std::string::npos)
             << spec << " -> " << err;
-        if (*want)
+        if (*want) {
             EXPECT_NE(err.find(want), std::string::npos)
                 << spec << " -> " << err;
+        }
         EXPECT_EQ(err.find('\n'), std::string::npos) << err;
     }
     EXPECT_EQ(failpoints::parseSpecError(

@@ -452,7 +452,9 @@ struct DetParams
     bool spread;
     double commitTarget;
     std::uint64_t minWindow;
-    std::uint64_t fixedWindow = 0;
+    /** Non-zero: run Exec::DetRes with roundSize == initialPrefix == this
+     *  (a fixed round size) instead of the adaptive Exec::Det window. */
+    std::uint64_t fixedRound = 0;
 };
 
 class DetParamSweep : public ::testing::TestWithParam<DetParams>
@@ -470,7 +472,11 @@ TEST_P(DetParamSweep, ThreadCountInvariance)
         cfg.det.localitySpread = p.spread;
         cfg.det.commitTarget = p.commitTarget;
         cfg.det.minWindow = p.minWindow;
-        cfg.det.fixedWindow = p.fixedWindow;
+        if (p.fixedRound != 0) {
+            cfg.exec = Exec::DetRes;
+            cfg.detres.roundSize = p.fixedRound;
+            cfg.detres.initialPrefix = p.fixedRound;
+        }
         auto report = galois::forEach(w.initialTasks(), w.op(), cfg);
         EXPECT_EQ(report.committed, 2300u);
         return w.hash();
@@ -489,8 +495,29 @@ INSTANTIATE_TEST_SUITE_P(
                       DetParams{false, false, 0.5, 4},
                       DetParams{true, true, 0.5, 64},
                       DetParams{true, true, 0.999, 1},
-                      DetParams{true, true, 0.95, 16, /*fixed=*/7},
-                      DetParams{false, true, 0.95, 16, /*fixed=*/911}));
+                      DetParams{true, true, 0.95, 16, /*fixedRound=*/7},
+                      DetParams{false, true, 0.95, 16,
+                                /*fixedRound=*/911}));
+
+TEST(DetResFixedRound, EveryRoundAdmitsExactlyRoundSize)
+{
+    // roundSize == initialPrefix == W is a fixed window: every round's
+    // admission size is W, whatever its commit ratio.
+    for (std::uint64_t w : {7u, 911u}) {
+        CellWorkload work(48, 2000, 300);
+        Config cfg;
+        cfg.exec = Exec::DetRes;
+        cfg.threads = 4;
+        cfg.detres.roundSize = w;
+        cfg.detres.initialPrefix = w;
+        const auto report =
+            galois::forEach(work.initialTasks(), work.op(), cfg);
+        EXPECT_EQ(report.committed, 2300u);
+        ASSERT_EQ(report.roundTrace.size(), report.rounds);
+        for (const auto& sample : report.roundTrace)
+            EXPECT_EQ(sample.window, w);
+    }
+}
 
 // ---------------------------------------------------------------------
 // Atomicity (serializability smoke test)

@@ -1,8 +1,9 @@
 /**
  * @file
- * Unit tests for the adaptive commit-ratio window policy
- * (runtime/window.h) — the exact arithmetic matters: the golden-digest
- * harness pins schedules that depend on every rounding decision here.
+ * Unit tests for the round-admission policies of runtime/window.h: the
+ * adaptive commit-ratio window and the reservation prefix. The exact
+ * arithmetic matters: the golden-digest harness pins schedules that
+ * depend on every rounding decision here.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,8 @@
 
 #include "runtime/window.h"
 
+using galois::runtime::DetResOptions;
+using galois::runtime::ReservationPolicy;
 using galois::runtime::WindowConfig;
 using galois::runtime::WindowPolicy;
 
@@ -18,13 +21,12 @@ namespace {
 
 WindowPolicy
 makePolicy(double target = 0.95, std::uint64_t min_window = 16,
-           std::uint64_t initial = 0, std::uint64_t fixed = 0)
+           std::uint64_t initial = 0)
 {
     WindowConfig cfg;
     cfg.commitTarget = target;
     cfg.minWindow = min_window;
     cfg.initialWindow = initial;
-    cfg.fixedWindow = fixed;
     WindowPolicy p(cfg);
     p.beginGeneration();
     return p;
@@ -124,13 +126,21 @@ TEST(WindowPolicy, GrowthCapsInsteadOfOverflowing)
     EXPECT_LE(p.size(), std::uint64_t(1) << 41);
 }
 
-TEST(WindowPolicy, FixedWindowDisablesAdaptivity)
+TEST(ReservationPolicy, EqualRoundSizeAndPrefixIsAFixedWindow)
 {
-    WindowPolicy p = makePolicy(0.95, 16, 0, /*fixed=*/911);
+    // roundSize == initialPrefix pins every round at that size whatever
+    // commits: the hand-tuned fixed window of the window-policy ablation.
+    DetResOptions opt;
+    opt.roundSize = 911;
+    opt.initialPrefix = 911;
+    ReservationPolicy p(opt);
+    p.beginGeneration();
     EXPECT_EQ(p.size(), 911u);
     p.update(911, 911);
     EXPECT_EQ(p.size(), 911u);
     p.update(911, 3);
+    EXPECT_EQ(p.size(), 911u);
+    p.update(911, 0);
     EXPECT_EQ(p.size(), 911u);
     p.beginGeneration();
     EXPECT_EQ(p.size(), 911u);
